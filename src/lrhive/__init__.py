@@ -6,110 +6,86 @@ Schur products and skew Schur expansions, and witness constructions exhibit
 multiplicity wherever the classifiers say it must occur.
 """
 
-from .classify import (
-    MFVerdict,
-    Witness,
-    find_multiplicity_witness,
-    gty_mf,
-    lifted_witness,
-    product_witness,
-    skew_product_mf,
-    skew_witness,
-    stembridge_mf,
-)
-from .expansions import (
-    Expansion,
-    duality_check,
-    lr_coefficient,
-    max_multiplicity,
-    product_expansion,
-    skew_expansion,
-)
-from .hives import (
-    Hive,
-    HiveBoundary,
-    count_lr_hives,
-    default_hive_side,
-    edge_labels,
-    enumerate_lr_hives,
-    free_interior_vertices,
-    is_valid_lr_hive,
-    lr_coefficient_hive,
-)
-from .partitions import (
-    Partition,
-    SegmentSeq,
-    ShapeClass,
-    add,
-    boundary_segments,
-    bounded_partitions,
-    complement,
-    conjugate,
-    contains,
-    format_partition,
-    parse_partition,
-    partitions_in_box,
-    shape_class,
-    shortness,
-    subpartitions,
-    union,
-)
-from .skew import SkewShape, format_skew_shape, parse_skew_shape
-from .tableaux import (
-    LRTableau,
-    enumerate_lr_tableaux,
-    is_lattice_word,
-    is_valid_lr_tableau,
-    lr_tableau_count,
-)
+from importlib import import_module
 
-__all__ = [
-    "Expansion",
-    "Hive",
-    "HiveBoundary",
-    "LRTableau",
-    "MFVerdict",
-    "Partition",
-    "SegmentSeq",
-    "ShapeClass",
-    "SkewShape",
-    "Witness",
-    "add",
-    "boundary_segments",
-    "bounded_partitions",
-    "complement",
-    "conjugate",
-    "contains",
-    "count_lr_hives",
-    "default_hive_side",
-    "duality_check",
-    "edge_labels",
-    "enumerate_lr_hives",
-    "enumerate_lr_tableaux",
-    "find_multiplicity_witness",
-    "format_partition",
-    "format_skew_shape",
-    "free_interior_vertices",
-    "gty_mf",
-    "is_lattice_word",
-    "is_valid_lr_hive",
-    "is_valid_lr_tableau",
-    "lifted_witness",
-    "lr_coefficient",
-    "lr_coefficient_hive",
-    "lr_tableau_count",
-    "max_multiplicity",
-    "parse_partition",
-    "parse_skew_shape",
-    "partitions_in_box",
-    "product_expansion",
-    "product_witness",
-    "shape_class",
-    "shortness",
-    "skew_expansion",
-    "skew_product_mf",
-    "skew_witness",
-    "stembridge_mf",
-    "subpartitions",
-    "union",
-]
+# The modules stay unloaded until a name is first read from the package, so a
+# command-line launch pays only for the modules its command uses.
+_EXPORTS = {
+    "classify": (
+        "MFVerdict",
+        "Witness",
+        "find_multiplicity_witness",
+        "gty_mf",
+        "lifted_witness",
+        "product_witness",
+        "skew_product_mf",
+        "skew_witness",
+        "stembridge_mf",
+    ),
+    "expansions": (
+        "Expansion",
+        "duality_check",
+        "lr_coefficient",
+        "max_multiplicity",
+        "product_expansion",
+        "skew_expansion",
+    ),
+    "hives": (
+        "Hive",
+        "HiveBoundary",
+        "count_lr_hives",
+        "default_hive_side",
+        "edge_labels",
+        "enumerate_lr_hives",
+        "free_interior_vertices",
+        "is_valid_lr_hive",
+        "lr_coefficient_hive",
+    ),
+    "partitions": (
+        "Partition",
+        "SegmentSeq",
+        "ShapeClass",
+        "add",
+        "boundary_segments",
+        "bounded_partitions",
+        "complement",
+        "conjugate",
+        "contains",
+        "format_partition",
+        "parse_partition",
+        "partitions_in_box",
+        "shape_class",
+        "shortness",
+        "subpartitions",
+        "union",
+    ),
+    "skew": (
+        "SkewShape",
+        "format_skew_shape",
+        "parse_skew_shape",
+    ),
+    "tableaux": (
+        "LRTableau",
+        "enumerate_lr_tableaux",
+        "is_lattice_word",
+        "is_valid_lr_tableau",
+        "lr_tableau_count",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 computational disagreement, 2 usage error.  Output is
 plain text by default or JSON with --format json; identical invocations print
 identical bytes.  The environment variable HIVE_LR_MAX_WEIGHT (default 40)
 caps the total weight a single query may ask for.
+
+Each command imports the parts of the library it uses when it runs, so that
+building the parser (and `lrhive --help`) loads none of them.
 """
 
 from __future__ import annotations
@@ -11,16 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
-
-from .classify import find_multiplicity_witness, gty_mf, lifted_witness, product_witness, skew_witness, stembridge_mf
-from .expansions import product_expansion, skew_expansion
-from .hives import default_hive_side, enumerate_lr_hives
-from .partitions import format_partition, parse_partition, partitions_in_box, subpartitions
-from .skew import SkewShape, format_skew_shape, parse_skew_shape
-from .tableaux import lr_tableau_count
 
 
 class UsageError(Exception):
@@ -86,20 +80,25 @@ def _expansion_json(query, method, expansion):
 
 
 def _expansion_lines(expansion):
+    from .partitions import format_partition
+
     lines = [f"{format_partition(p)}: {c}" for p, c in expansion.terms()]
     lines.append(f"max multiplicity: {expansion.max_multiplicity()}")
     return lines
 
 
 def _cmd_lrcoef(args):
+    from .expansions import lr_coefficient
+    from .hives import lr_coefficient_hive
+    from .partitions import parse_partition
+    from .tableaux import lr_tableau_count
+
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     _check_weight(lam.weight)
     query = {"type": "lrcoef", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
     if args.method == "both":
-        from .hives import lr_coefficient_hive
-
         by_hive = lr_coefficient_hive(lam, mu, nu)
         by_tableau = lr_tableau_count(lam, mu, nu)
         if args.format == "json":
@@ -110,8 +109,6 @@ def _cmd_lrcoef(args):
             print(f"error: hive count {by_hive} != tableau count {by_tableau}", file=sys.stderr)
             return 1
         return 0
-    from .expansions import lr_coefficient
-
     value = lr_coefficient(lam, mu, nu, method=args.method)
     if args.format == "json":
         _emit_json({"query": query, "method": args.method, "coefficient": value})
@@ -121,6 +118,9 @@ def _cmd_lrcoef(args):
 
 
 def _cmd_product(args):
+    from .expansions import product_expansion
+    from .partitions import parse_partition
+
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     _check_weight(mu.weight + nu.weight)
@@ -134,6 +134,9 @@ def _cmd_product(args):
 
 
 def _cmd_skew(args):
+    from .expansions import skew_expansion
+    from .skew import parse_skew_shape
+
     shape = parse_skew_shape(args.shape)
     _check_weight(shape.outer.weight)
     expansion = skew_expansion(shape, method=args.method)
@@ -146,6 +149,11 @@ def _cmd_skew(args):
 
 
 def _cmd_mf(args):
+    from .classify import find_multiplicity_witness, gty_mf, stembridge_mf
+    from .expansions import product_expansion, skew_expansion
+    from .partitions import format_partition, parse_partition
+    from .skew import parse_skew_shape
+
     if args.kind == "product":
         if args.mu is None or args.nu is None:
             raise UsageError("mf product needs --mu and --nu")
@@ -196,6 +204,9 @@ def _cmd_mf(args):
 
 
 def _cmd_witness(args):
+    from .classify import lifted_witness, product_witness, skew_witness
+    from .partitions import format_partition
+
     params = _parse_params(args.params or "")
     case = args.case
     key = case.replace("(", "").replace(")", "").lower()
@@ -245,6 +256,9 @@ def _cmd_witness(args):
 
 
 def _cmd_hives(args):
+    from .hives import default_hive_side, enumerate_lr_hives
+    from .partitions import parse_partition
+
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
@@ -273,14 +287,16 @@ def _cmd_hives(args):
     return 0
 
 
-@dataclass
 class SweepReport:
-    family: str
-    box: tuple
-    method: str
-    instances: int
-    agreements: int
-    disagreements: list
+    """Outcome of a verify sweep: instances run, agreements, and each disagreement."""
+
+    def __init__(self, family, box, method, instances, agreements, disagreements):
+        self.family = family
+        self.box = box
+        self.method = method
+        self.instances = instances
+        self.agreements = agreements
+        self.disagreements = disagreements
 
     @property
     def disagree(self):
@@ -293,6 +309,13 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     Iterates every instance in the box (products: all ordered partition
     pairs; skews: all basic shapes), or a seeded random sample of them.
     """
+    import random
+
+    from .classify import gty_mf, stembridge_mf
+    from .expansions import product_expansion, skew_expansion
+    from .partitions import partitions_in_box, subpartitions
+    from .skew import SkewShape, format_skew_shape
+
     m, n = box
     parts = partitions_in_box(m, n)
     disagreements = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hives import count_lr_hives, lr_coefficient_hive
+from .hives import lr_coefficient_hive
 from .partitions import Partition, bounded_partitions, contains
 from .skew import SkewShape
 from .tableaux import lr_tableau_count
@@ -90,30 +90,21 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _engine(lam, mu, nu, n, method):
-    if method == "hive":
-        return count_lr_hives(lam, mu, nu, n)
-    if method == "tableau":
-        return lr_tableau_count(lam, mu, nu)
-    raise ValueError(f"unknown method {method!r}")
-
-
 @lru_cache(maxsize=None)
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
     Candidates are the partitions of |mu| + |nu| containing both factors,
     with length at most len(mu) + len(nu) and first part at most mu_1 + nu_1;
-    hives are enumerated on a triangle of side len(mu) + len(nu).
+    each candidate's coefficient comes from lr_coefficient.
     """
     weight = mu.weight + nu.weight
-    n = mu.length + nu.length
     max_part = (mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)
     coeffs = {}
-    for lam in bounded_partitions(weight, max_part=max_part, max_length=n):
+    for lam in bounded_partitions(weight, max_part=max_part, max_length=mu.length + nu.length):
         if not (contains(mu, lam) and contains(nu, lam)):
             continue
-        c = _engine(lam, mu, nu, n, method)
+        c = lr_coefficient(lam, mu, nu, method)
         if c:
             coeffs[lam] = c
     return Expansion(coeffs)
@@ -122,12 +113,11 @@ def product_expansion(mu, nu, method="hive"):
 @lru_cache(maxsize=None)
 def _skew_expansion(lam, mu, method):
     weight = lam.weight - mu.weight
-    n = lam.length
     coeffs = {}
-    for nu in bounded_partitions(weight, max_part=lam.parts[0] if lam else 0, max_length=n):
+    for nu in bounded_partitions(weight, max_part=lam.parts[0] if lam else 0, max_length=lam.length):
         if not contains(nu, lam):
             continue
-        c = _engine(lam, mu, nu, n, method)
+        c = lr_coefficient(lam, mu, nu, method)
         if c:
             coeffs[nu] = c
     return Expansion(coeffs)
@@ -137,7 +127,7 @@ def skew_expansion(shape, method="hive"):
     """Expansion of the skew Schur function of the given shape.
 
     Candidates are the partitions of the cell count contained in the outer
-    partition; hives are enumerated on a triangle of side len(outer).
+    partition; each candidate's coefficient comes from lr_coefficient.
     """
     return _skew_expansion(shape.outer, shape.inner, method)
 

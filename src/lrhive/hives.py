@@ -10,14 +10,21 @@ inequalities need checking.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .partitions import Partition
 
 MAX_WEIGHT = 2**31  # defensive cap on |lambda|; labels stay well inside 64 bits
 
-SCAN_ORDERS = ("row-major", "anti-diagonal")
+# Sort keys of the scan orders; the first component numbers the row.
+_SCAN_KEYS = {
+    "row-major": lambda v: (v[0], v[1]),
+    "anti-diagonal": lambda v: (v[0] + v[1], v[0]),
+}
+SCAN_ORDERS = tuple(_SCAN_KEYS)
 
 
 class Hive:
@@ -89,14 +96,11 @@ class HiveBoundary:
 
 
 def _interior_vertices(n, scan_order):
-    pts = [(i, j) for i in range(1, n) for j in range(1, n - i)]
-    if scan_order == "row-major":
-        pts.sort()
-    elif scan_order == "anti-diagonal":
-        pts.sort(key=lambda v: (v[0] + v[1], v[0]))
-    else:
-        raise ValueError(f"unknown scan order {scan_order!r}")
-    return pts
+    try:
+        key = _SCAN_KEYS[scan_order]
+    except KeyError:
+        raise ValueError(f"unknown scan order {scan_order!r}") from None
+    return sorted(((i, j) for i in range(1, n) for j in range(1, n - i)), key=key)
 
 
 def _rhombus_inequalities(n, vid):
@@ -118,6 +122,13 @@ class _Step:
     lower_triples: tuple  # (x, y, z): value >= vals[x] + vals[y] - vals[z]
     upper_triples: tuple  # (x, y, z): value <= vals[x] + vals[y] - vals[z]
 
+    def reads(self):
+        """Every vertex whose label bounds this step."""
+        out = set(self.lower_singles) | set(self.upper_singles)
+        for triple in self.lower_triples + self.upper_triples:
+            out.update(triple)
+        return out
+
 
 @dataclass(frozen=True)
 class _Plan:
@@ -128,16 +139,20 @@ class _Plan:
     steps: tuple
     boundary_checks: tuple
     all_ineqs: tuple
+    # One (steps, live) pair per row of the scan order: the row's steps, and
+    # the interior vertices assigned so far that a later row still reads.
+    rows: tuple
 
 
 @lru_cache(maxsize=None)
 def _plan(n, scan_order):
-    """Precompute the DFS schedule for side n under the given scan order.
+    """Precompute the search schedule for side n under the given scan order.
 
     For each interior vertex, collect every rhombus inequality whose other
     three vertices come earlier (boundary vertices count as assigned), split
     into lower/upper bounds on the vertex, plus single-vertex bounds implied
-    by the monotonicity of edge labels toward the boundary.
+    by the monotonicity of edge labels toward the boundary.  The steps are
+    then split into the scan order's rows, each with its outgoing frontier.
     """
     vid = {}
     k = 0
@@ -193,46 +208,99 @@ def _plan(n, scan_order):
                 tuple(per_vertex_upper[v]),
             )
         )
-    return _Plan(n, size, vid, tuple(interior), tuple(steps), tuple(boundary_checks), tuple(ineqs))
+
+    row_of = _SCAN_KEYS[scan_order]
+    groups = [list(g) for _, g in groupby(zip(interior, steps), key=lambda ps: row_of(ps[0])[0])]
+    rows = []
+    later = set()  # vertices read by the rows after the current one
+    for group in reversed(groups):
+        row_steps = tuple(step for _, step in group)
+        end = pos[row_steps[-1].vid]
+        live = tuple(sorted(u for u in later if u in pos and pos[u] <= end))
+        rows.append((row_steps, live))
+        for step in row_steps:
+            later |= step.reads()
+    rows.reverse()
+
+    plan = _Plan(
+        n, size, vid, tuple(interior), tuple(steps), tuple(boundary_checks), tuple(ineqs), tuple(rows)
+    )
+    _check_plan(plan)
+    return plan
 
 
-def _boundary_vals(lam, mu, nu, n, plan):
-    vals = [0] * plan.size
-    for (i, j), label in HiveBoundary(n, lam, mu, nu).vertex_labels().items():
-        vals[plan.vid[i, j]] = label
-    return vals
+def _check_plan(plan):
+    """Raise AssertionError unless the per-step bounds alone decide every hive.
+
+    The frontier count never re-checks a finished hive, so the schedule must
+    enforce every rhombus inequality exactly once, at its last vertex, and
+    each row may read only boundary labels, labels set earlier in the row and
+    the frontier carried in from the row before.
+    """
+
+    def key(p1, p2, m1, m2):
+        return tuple(sorted((p1, p2))), tuple(sorted((m1, m2)))
+
+    pos = {step.vid: t for t, step in enumerate(plan.steps)}
+    enforced = Counter()
+    for ineq in plan.boundary_checks:
+        if any(v in pos for v in ineq):
+            raise AssertionError(f"boundary check {ineq} reads an interior vertex")
+        enforced[key(*ineq)] += 1
+    for t, step in enumerate(plan.steps):
+        v = step.vid
+        for x, y, z in step.lower_triples:
+            enforced[key(v, z, x, y)] += 1
+        for x, y, z in step.upper_triples:
+            enforced[key(x, y, v, z)] += 1
+        if any(u in pos and pos[u] >= t for u in step.reads()):
+            raise AssertionError(f"step {t} reads a vertex not yet assigned")
+    wanted = Counter(key(*ineq) for ineq in plan.all_ineqs)
+    if enforced != wanted or any(c != 1 for c in wanted.values()):
+        raise AssertionError("rhombus inequalities not enforced exactly once")
+
+    if tuple(step for row_steps, _ in plan.rows for step in row_steps) != plan.steps:
+        raise AssertionError("the rows do not split the steps in order")
+    carried = ()
+    for row_steps, live in plan.rows:
+        known = set(carried)
+        for step in row_steps:
+            if any(u in pos and u not in known for u in step.reads()):
+                raise AssertionError(f"vertex {step.vid} reads a label outside its frontier")
+            known.add(step.vid)
+        carried = live
+    if carried:
+        raise AssertionError("the last row leaves a frontier")
 
 
-def _search(lam, mu, nu, n, scan_order, collect):
-    """Depth-first assignment of interior labels; returns (count, hives)."""
+def _prepare(lam, mu, nu, n, scan_order):
+    """The plan and the boundary-filled labels, or None when no hive exists."""
     if max(lam.length, mu.length, nu.length) > n:
         raise ValueError("partition lengths must not exceed n")
     if lam.weight > MAX_WEIGHT:
         raise ValueError(f"|lambda| exceeds supported bound {MAX_WEIGHT}")
     if lam.weight != mu.weight + nu.weight:
-        return 0, []
+        return None
     plan = _plan(n, scan_order)
-    vals = _boundary_vals(lam, mu, nu, n, plan)
+    vals = [0] * plan.size
+    for (i, j), label in HiveBoundary(n, lam, mu, nu).vertex_labels().items():
+        vals[plan.vid[i, j]] = label
     for a, b, c, d in plan.boundary_checks:
         if vals[a] + vals[b] < vals[c] + vals[d]:
-            return 0, []
-    steps = plan.steps
-    nsteps = len(steps)
-    all_ineqs = plan.all_ineqs
-    cap = lam.weight
-    out = [] if collect else None
-    count = 0
+            return None
+    return plan, vals
+
+
+def _walk(steps, vals, cap, leaf):
+    """Assign the steps' vertices in order, each over every value its bounds allow.
+
+    Calls leaf() once per complete assignment, with the labels in vals.
+    """
+    last = len(steps)
 
     def rec(idx):
-        nonlocal count
-        if idx == nsteps:
-            # safety net: every leaf re-passes the full inequality system
-            for a, b, c, d in all_ineqs:
-                if vals[a] + vals[b] < vals[c] + vals[d]:
-                    return
-            count += 1
-            if out is not None:
-                out.append(tuple(vals))
+        if idx == last:
+            leaf()
             return
         step = steps[idx]
         lo, hi = 0, cap
@@ -256,6 +324,29 @@ def _search(lam, mu, nu, n, scan_order, collect):
             rec(idx + 1)
 
     rec(0)
+
+
+def _search(lam, mu, nu, n, scan_order, collect):
+    """Depth-first assignment of interior labels; returns (count, hives)."""
+    prepared = _prepare(lam, mu, nu, n, scan_order)
+    if prepared is None:
+        return 0, []
+    plan, vals = prepared
+    all_ineqs = plan.all_ineqs
+    out = [] if collect else None
+    count = 0
+
+    def leaf():
+        nonlocal count
+        # safety net: every leaf re-passes the full inequality system
+        for a, b, c, d in all_ineqs:
+            if vals[a] + vals[b] < vals[c] + vals[d]:
+                return
+        count += 1
+        if out is not None:
+            out.append(tuple(vals))
+
+    _walk(plan.steps, vals, lam.weight, leaf)
     hives = []
     if collect:
         vid = plan.vid
@@ -263,6 +354,35 @@ def _search(lam, mu, nu, n, scan_order, collect):
             rows = [[flat[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]
             hives.append(Hive(n, rows))
     return count, hives
+
+
+def _count_by_rows(lam, mu, nu, n):
+    """The number of LR-hives on a side-n triangle, by a row-by-row frontier DP.
+
+    Partial hives that agree on the frontier (the labels later rows still
+    read) have the same completions, so each row is walked once per distinct
+    frontier and the number of partial hives reaching each one is carried on.
+    """
+    prepared = _prepare(lam, mu, nu, n, "row-major")
+    if prepared is None:
+        return 0
+    plan, vals = prepared
+    frontier = {(): 1}
+    carried = ()
+
+    def leaf():
+        key = tuple([vals[u] for u in live])
+        reached[key] = reached.get(key, 0) + mult
+
+    for row_steps, live in plan.rows:
+        reached = {}
+        for labels, mult in frontier.items():
+            for u, label in zip(carried, labels):
+                vals[u] = label
+            _walk(row_steps, vals, lam.weight, leaf)
+        frontier = reached
+        carried = live
+    return frontier.get((), 0)
 
 
 def default_hive_side(lam, mu, nu):
@@ -284,15 +404,19 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
 
 @lru_cache(maxsize=None)
 def count_lr_hives(lam, mu, nu, n, scan_order="row-major"):
+    """The number of LR-hives on a side-n triangle, by depth-first enumeration."""
     count, _ = _search(lam, mu, nu, n, scan_order, collect=False)
     return count
 
 
+@lru_cache(maxsize=None)
 def lr_coefficient_hive(lam, mu, nu):
     """The LR coefficient as the number of LR-hives.
 
     Weight or length violations of the support conditions short-circuit to 0
-    without enumeration.
+    without counting.  The count is the same on every side at least as long
+    as the three partitions, so it runs on the smallest such side, by the
+    frontier DP rather than hive by hive.
     """
     if lam.weight != mu.weight + nu.weight:
         return 0
@@ -300,7 +424,7 @@ def lr_coefficient_hive(lam, mu, nu):
         return 0
     if lam.length > mu.length + nu.length:
         return 0
-    return count_lr_hives(lam, mu, nu, default_hive_side(lam, mu, nu))
+    return _count_by_rows(lam, mu, nu, max(lam.length, mu.length, nu.length))
 
 
 def is_valid_lr_hive(hive, boundary):

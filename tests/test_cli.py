@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +204,17 @@ class TestDeterminismAndLimits:
         with pytest.raises(SystemExit) as exc:
             main(["lrcoef", "--lambda", "2,1"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_parser_loads_no_library_module(self):
+        # `lrhive --help` builds the parser only; the library stays unloaded
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import lrhive.cli\n"
+            "lrhive.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('lrhive.') or m == 'dataclasses'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "['lrhive.cli']"

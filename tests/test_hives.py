@@ -1,10 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from lrhive.hives import (
+    SCAN_ORDERS,
     Hive,
     HiveBoundary,
+    _check_plan,
+    _count_by_rows,
+    _plan,
     count_lr_hives,
     default_hive_side,
     edge_labels,
@@ -18,10 +23,13 @@ from lrhive.partitions import (
     add,
     bounded_partitions,
     conjugate,
+    contains,
     parse_partition,
+    partitions_in_box,
     subpartitions,
     union,
 )
+from lrhive.skew import SkewShape
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -41,6 +49,32 @@ def all_triples(max_weight, length_cap=None):
                         if length_cap and nu.length > length_cap:
                             continue
                         yield lam, mu, nu
+
+
+def product_triples(m, n):
+    """(lam, mu, nu) for every mu, nu in the box and every candidate term lam of s_mu s_nu."""
+    box = partitions_in_box(m, n)
+    for mu in box:
+        for nu in box:
+            max_part = (mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)
+            for lam in bounded_partitions(mu.weight + nu.weight, max_part, mu.length + nu.length):
+                if contains(mu, lam) and contains(nu, lam):
+                    yield lam, mu, nu
+
+
+def basic_skew_triples(m, n):
+    """(lam, mu, nu) for every basic skew shape lam/mu in the box and every nu inside lam."""
+    for lam in partitions_in_box(m, n):
+        for mu in subpartitions(lam):
+            if not SkewShape(lam, mu).is_basic():
+                continue
+            for nu in bounded_partitions(lam.weight - mu.weight, lam.parts[0] if lam else 0, lam.length):
+                if contains(nu, lam):
+                    yield lam, mu, nu
+
+
+def tight_side(lam, mu, nu):
+    return max(lam.length, mu.length, nu.length)
 
 
 class TestValidation:
@@ -231,3 +265,62 @@ class TestSymmetries:
                 >= base
             )
             done += 1
+
+
+class TestFrontierCount:
+    """The row-by-row frontier count against the DFS and the tableau rule."""
+
+    @pytest.mark.parametrize(
+        "triples",
+        [lambda: product_triples(3, 3), lambda: basic_skew_triples(4, 4)],
+        ids=["products-3x3", "skews-4x4"],
+    )
+    def test_matches_both_oracles(self, triples):
+        seen = nonzero = 0
+        for lam, mu, nu in triples():
+            by_rows = _count_by_rows(lam, mu, nu, tight_side(lam, mu, nu))
+            assert by_rows == count_lr_hives(lam, mu, nu, default_hive_side(lam, mu, nu)), (lam, mu, nu)
+            assert by_rows == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
+            seen += 1
+            nonzero += by_rows > 0
+        assert nonzero > 100 and seen > nonzero
+
+    def test_independent_of_side(self):
+        for lam, mu, nu in all_triples(8):
+            k = tight_side(lam, mu, nu)
+            counts = {_count_by_rows(lam, mu, nu, n) for n in (k, k + 1, k + 2)}
+            assert len(counts) == 1, (lam, mu, nu)
+
+    def test_stretched_coefficient(self):
+        lam, mu, nu = P("6,5,4,3,1,1"), P("4,3,2,1"), P("4,3,2,1")
+        assert lr_coefficient_hive(lam, mu, nu) == 18
+        six = lambda p: Partition([6 * x for x in p])
+        assert lr_coefficient_hive(six(lam), six(mu), six(nu)) == 30348
+
+    def test_deep_column_triangle(self):
+        # 1035 interior vertices: deeper than the default recursion limit
+        ones = lambda k: Partition([1] * k)
+        assert lr_coefficient_hive(ones(47), ones(23), ones(24)) == 1
+
+
+class TestPlanCoverage:
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_holds_for_small_sides(self, scan_order):
+        for n in range(1, 11):
+            _check_plan(_plan(n, scan_order))
+
+    def test_rejects_a_dropped_inequality(self):
+        plan = _plan(5, "row-major")
+        idx = next(t for t, step in enumerate(plan.steps) if step.lower_triples)
+        step = plan.steps[idx]
+        weakened = dataclasses.replace(step, lower_triples=step.lower_triples[1:])
+        steps = plan.steps[:idx] + (weakened,) + plan.steps[idx + 1 :]
+        with pytest.raises(AssertionError):
+            _check_plan(dataclasses.replace(plan, steps=steps))
+
+    def test_rejects_a_short_frontier(self):
+        plan = _plan(5, "row-major")
+        (first, live), *rest = plan.rows
+        rows = ((first, live[1:]), *rest)
+        with pytest.raises(AssertionError):
+            _check_plan(dataclasses.replace(plan, rows=rows))
