@@ -26,7 +26,6 @@ _EXPORTS = {
         "Expansion",
         "duality_check",
         "lr_coefficient",
-        "max_multiplicity",
         "product_expansion",
         "skew_expansion",
     ),
@@ -63,6 +62,10 @@ _EXPORTS = {
         "SkewShape",
         "format_skew_shape",
         "parse_skew_shape",
+    ),
+    "sweep": (
+        "SweepReport",
+        "verify_sweep",
     ),
     "tableaux": (
         "LRTableau",

@@ -201,6 +201,11 @@ def _need(cond, desc, case):
         raise ValueError(f"{case} requires {desc}")
 
 
+def _need_basic(lam, mu, case):
+    if not SkewShape(lam, mu).is_basic():
+        raise ValueError(f"{case} parameters give a non-basic shape {lam}/{mu}")
+
+
 def product_witness(case, **params):
     """The tabulated lambda with coefficient exactly 2 for the (mu, nu) case."""
     case = _norm_case(case, PRODUCT_WITNESS_CASES)
@@ -226,82 +231,57 @@ def product_witness(case, **params):
     return Witness(case, lam, mu, nu, constructed=lam, expected="exactly 2")
 
 
-def _chain(case, *pairs):
-    """Validate a chain of comparisons given as (ok, text) pairs."""
-    for ok, text in pairs:
-        _need(ok, text, case)
-
-
 def skew_witness(case, **params):
     """The tabulated nu with coefficient exactly 2 for the (lam, mu) case."""
     case = _norm_case(case, SKEW_WITNESS_CASES)
     if case.startswith("T1"):
         a, b, c, d, e = _take(params, "a b c d e", case)
         if case == "T1i":
-            _chain(
-                case,
-                (a > b, "a > b"),
-                (b >= c + 1, "b >= c + 1"),
-                (c + 1 >= d, "c + 1 >= d"),
-                (d >= e + 1, "d >= e + 1"),
-                (e >= 1, "e >= 1"),
-            )
+            _need(a > b, "a > b", case)
+            _need(b >= c + 1, "b >= c + 1", case)
+            _need(c + 1 >= d, "c + 1 >= d", case)
+            _need(d >= e + 1, "d >= e + 1", case)
+            _need(e >= 1, "e >= 1", case)
             nu = Partition([a - 1, b - e, c - d + 1])
         else:
-            _chain(
-                case,
-                (a > b, "a > b"),
-                (b >= d, "b >= d"),
-                (d >= c + 1, "d >= c + 1"),
-                (c >= e, "c >= e"),
-                (e >= 1, "e >= 1"),
-            )
+            _need(a > b, "a > b", case)
+            _need(b >= d, "b >= d", case)
+            _need(d >= c + 1, "d >= c + 1", case)
+            _need(c >= e, "c >= e", case)
+            _need(e >= 1, "e >= 1", case)
             nu = Partition([a - 1, b + c - d - e + 1, 0])
         lam, mu = Partition([a, b, c]), Partition([d, e])
     elif case.startswith("T2"):
         a, b, c, d, e = _take(params, "a b c d e", case)
         if case == "T2i":
-            _chain(
-                case,
-                (a > b > c, "a > b > c"),
-                (c >= d + 1, "c >= d + 1"),
-                (d + 1 >= e, "d + 1 >= e"),
-                (e > 1, "e > 1"),
-            )
+            _need(a > b > c, "a > b > c", case)
+            _need(c >= d + 1, "c >= d + 1", case)
+            _need(d + 1 >= e, "d + 1 >= e", case)
+            _need(e > 1, "e > 1", case)
             nu = Partition([a - 1, b - 1, c - e + 1, d - e + 1])
         else:
-            _chain(
-                case,
-                (a > b > c, "a > b > c"),
-                (c >= e, "c >= e"),
-                (e >= d + 1, "e >= d + 1"),
-                (d >= 1, "d >= 1"),
-            )
+            _need(a > b > c, "a > b > c", case)
+            _need(c >= e, "c >= e", case)
+            _need(e >= d + 1, "e >= d + 1", case)
+            _need(d >= 1, "d >= 1", case)
             nu = Partition([a - 1, b + d - e, c - e + 1, 0])
         lam, mu = Partition([a, b, c, d]), Partition([e, e])
     else:
         a, b, c, d = _take(params, "a b c d", case)
         if case == "T3i":
-            _chain(
-                case,
-                (a - 1 > b, "a - 1 > b"),
-                (b > c + 1, "b > c + 1"),
-                (c + 1 >= d, "c + 1 >= d"),
-                (d > 2, "d > 2"),
-            )
+            _need(a - 1 > b, "a - 1 > b", case)
+            _need(b > c + 1, "b > c + 1", case)
+            _need(c + 1 >= d, "c + 1 >= d", case)
+            _need(d > 2, "d > 2", case)
             nu = Partition([a - 1, a - 2, b - 1, b - d + 1, c - d + 2, c - d + 1])
         else:
-            _chain(
-                case,
-                (a - 1 > b, "a - 1 > b"),
-                (b > d, "b > d"),
-                (d >= c + 1, "d >= c + 1"),
-                (c + 1 > 2, "c + 1 > 2"),
-            )
+            _need(a - 1 > b, "a - 1 > b", case)
+            _need(b > d, "b > d", case)
+            _need(d >= c + 1, "d >= c + 1", case)
+            _need(c + 1 > 2, "c + 1 > 2", case)
             nu = Partition([a - 1, a + c - d - 1, b + c - d, b - d + 1, 1, 0])
         lam, mu = Partition([a, a, b, b, c, c]), Partition([d, d, d])
-    if not SkewShape(lam, mu).is_basic():
-        raise ValueError(f"{case} parameters give a non-basic shape {lam}/{mu}")
+    _need_basic(lam, mu, case)
     return Witness(case, lam, mu, nu, constructed=nu, expected="exactly 2")
 
 
@@ -335,11 +315,6 @@ def _reduction_witness(family, sigma, tau):
         case = "T3i" if c + 1 >= d else "T3ii"
         w = skew_witness(case, a=a, b=b, c=c, d=d)
     return w.nu
-
-
-def _need_basic(lam, mu, case):
-    if not SkewShape(lam, mu).is_basic():
-        raise ValueError(f"{case} parameters give a non-basic shape {lam}/{mu}")
 
 
 def lifted_witness(case, **params):
@@ -425,7 +400,7 @@ def lifted_witness(case, **params):
 
 def find_multiplicity_witness(expansion):
     """Lexicographically smallest term with coefficient >= 2, or None."""
-    hits = [p for p, c in expansion.items() if c >= 2]
+    hits = [p for p, c in expansion.terms() if c >= 2]
     if not hits:
         return None
     p = min(hits, key=lambda q: q.parts)

@@ -89,9 +89,7 @@ def _expansion_lines(expansion):
 
 def _cmd_lrcoef(args):
     from .expansions import lr_coefficient
-    from .hives import lr_coefficient_hive
     from .partitions import parse_partition
-    from .tableaux import lr_tableau_count
 
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
@@ -99,8 +97,8 @@ def _cmd_lrcoef(args):
     _check_weight(lam.weight)
     query = {"type": "lrcoef", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
     if args.method == "both":
-        by_hive = lr_coefficient_hive(lam, mu, nu)
-        by_tableau = lr_tableau_count(lam, mu, nu)
+        by_hive = lr_coefficient(lam, mu, nu, "hive")
+        by_tableau = lr_coefficient(lam, mu, nu, "tableau")
         if args.format == "json":
             _emit_json({"query": query, "method": "both", "hive": by_hive, "tableau": by_tableau})
         else:
@@ -287,89 +285,18 @@ def _cmd_hives(args):
     return 0
 
 
-class SweepReport:
-    """Outcome of a verify sweep: instances run, agreements, and each disagreement."""
-
-    def __init__(self, family, box, method, instances, agreements, disagreements):
-        self.family = family
-        self.box = box
-        self.method = method
-        self.instances = instances
-        self.agreements = agreements
-        self.disagreements = disagreements
-
-    @property
-    def disagree(self):
-        return len(self.disagreements)
-
-
-def verify_sweep(family, box, sample=None, seed=0, method="hive"):
-    """Differential sweep: classifier verdict vs enumerated max multiplicity.
-
-    Iterates every instance in the box (products: all ordered partition
-    pairs; skews: all basic shapes), or a seeded random sample of them.
-    """
-    import random
-
-    from .classify import gty_mf, stembridge_mf
-    from .expansions import product_expansion, skew_expansion
-    from .partitions import partitions_in_box, subpartitions
-    from .skew import SkewShape, format_skew_shape
-
-    m, n = box
-    parts = partitions_in_box(m, n)
-    disagreements = []
-    if family == "products":
-        instances = [(mu, nu) for mu in parts for nu in parts]
-        if sample is not None:
-            instances = random.Random(seed).sample(instances, min(sample, len(instances)))
-        for mu, nu in instances:
-            verdict = stembridge_mf(mu, nu)
-            enum_max = product_expansion(mu, nu, method=method).max_multiplicity()
-            if verdict.multiplicity_free != (enum_max <= 1):
-                disagreements.append(
-                    {
-                        "mu": list(mu.parts),
-                        "nu": list(nu.parts),
-                        "cases": verdict.sorted_cases(),
-                        "max_multiplicity": enum_max,
-                    }
-                )
-    elif family == "skews":
-        instances = [
-            SkewShape(lam, mu)
-            for lam in parts
-            for mu in subpartitions(lam)
-            if SkewShape(lam, mu).is_basic()
-        ]
-        if sample is not None:
-            instances = random.Random(seed).sample(instances, min(sample, len(instances)))
-        for shape in instances:
-            verdict = gty_mf(shape)
-            enum_max = skew_expansion(shape, method=method).max_multiplicity()
-            if verdict.multiplicity_free != (enum_max <= 1):
-                disagreements.append(
-                    {
-                        "shape": format_skew_shape(shape),
-                        "cases": verdict.sorted_cases(),
-                        "max_multiplicity": enum_max,
-                    }
-                )
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    return SweepReport(family, box, method, len(instances), len(instances) - len(disagreements), disagreements)
-
-
 def _cmd_verify(args):
+    from .sweep import verify_sweep
+
     box = _parse_box(args.box)
     _check_weight(box[0] * box[1])
     report = verify_sweep(args.family, box, sample=args.sample, seed=args.seed, method=args.method)
     if args.format == "json":
         _emit_json(
             {
-                "family": report.family,
-                "box": list(report.box),
-                "method": report.method,
+                "family": args.family,
+                "box": list(box),
+                "method": args.method,
                 "instances": report.instances,
                 "agree": report.agreements,
                 "disagree": report.disagree,
@@ -378,9 +305,9 @@ def _cmd_verify(args):
         )
     else:
         lines = [
-            f"family: {report.family}",
-            f"box: {report.box[0]}x{report.box[1]}",
-            f"method: {report.method}",
+            f"family: {args.family}",
+            f"box: {box[0]}x{box[1]}",
+            f"method: {args.method}",
             f"instances: {report.instances}",
             f"agree: {report.agreements}",
             f"disagree: {report.disagree}",

@@ -36,9 +36,6 @@ class Expansion:
         """(partition, coefficient) pairs in decreasing lexicographic order."""
         return sorted(self._coeffs.items(), key=lambda t: t[0].parts, reverse=True)
 
-    def items(self):
-        return self.terms()
-
     def as_dict(self):
         return dict(self._coeffs)
 
@@ -50,7 +47,7 @@ class Expansion:
         total = {}
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():
-                for r, c in product_expansion(p, q, method=method).items():
+                for r, c in product_expansion(p, q, method=method).terms():
                     total[r] = total.get(r, 0) + cp * cq * c
         return Expansion(total)
 
@@ -130,10 +127,6 @@ def skew_expansion(shape, method="hive"):
     partition; each candidate's coefficient comes from lr_coefficient.
     """
     return _skew_expansion(shape.outer, shape.inner, method)
-
-
-def max_multiplicity(expansion):
-    return expansion.max_multiplicity()
 
 
 def duality_check(lam, mu, nu, method="hive"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from .partitions import Partition
 
@@ -75,24 +75,30 @@ class HiveBoundary:
 
     def vertex_labels(self):
         """Boundary assignments: {(i, j): label} on the three triangle sides."""
-        n = self.n
-        lp = self.lam.padded(n)
-        mp = self.mu.padded(n)
-        np_ = self.nu.padded(n)
-        labels = {(0, 0): 0}
-        s = 0
-        for k in range(1, n + 1):
-            s += lp[k - 1]
-            labels[(k, 0)] = s
-        s = 0
-        for i in range(1, n + 1):
-            s += np_[i - 1]
-            labels[(0, i)] = s
-        s = self.nu.weight
-        for j in range(1, n + 1):
-            s += mp[j - 1]
-            labels[(j, n - j)] = s
+        labels = {}
+        _fill_boundary(labels, _sides(self.n), self.lam, self.mu, self.nu)
         return labels
+
+
+def _sides(n):
+    """The vertices of the lam, nu and mu sides, each from its first label on.
+
+    The lam side runs from (0, 0) to (n, 0), the nu side from (0, 0) to
+    (0, n), and the mu side from (0, n) to (n, 0).
+    """
+    return (
+        [(k, 0) for k in range(n + 1)],
+        [(0, i) for i in range(n + 1)],
+        [(j, n - j) for j in range(n + 1)],
+    )
+
+
+def _fill_boundary(vals, sides, lam, mu, nu):
+    """Write the partial sums of lam and nu from 0, and of mu from |nu|, onto the sides."""
+    n = len(sides[0]) - 1
+    for side, p, start in zip(sides, (lam, nu, mu), (0, 0, nu.weight)):
+        for v, label in zip(side, accumulate(p.padded(n), initial=start)):
+            vals[v] = label
 
 
 def _interior_vertices(n, scan_order):
@@ -132,10 +138,9 @@ class _Step:
 
 @dataclass(frozen=True)
 class _Plan:
-    n: int
     size: int
     vid: dict
-    interior: tuple
+    sides: tuple  # vertex ids of the lam, nu and mu sides, as _sides lists them
     steps: tuple
     boundary_checks: tuple
     all_ineqs: tuple
@@ -222,9 +227,8 @@ def _plan(n, scan_order):
             later |= step.reads()
     rows.reverse()
 
-    plan = _Plan(
-        n, size, vid, tuple(interior), tuple(steps), tuple(boundary_checks), tuple(ineqs), tuple(rows)
-    )
+    sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
+    plan = _Plan(size, vid, sides, tuple(steps), tuple(boundary_checks), tuple(ineqs), tuple(rows))
     _check_plan(plan)
     return plan
 
@@ -283,8 +287,7 @@ def _prepare(lam, mu, nu, n, scan_order):
         return None
     plan = _plan(n, scan_order)
     vals = [0] * plan.size
-    for (i, j), label in HiveBoundary(n, lam, mu, nu).vertex_labels().items():
-        vals[plan.vid[i, j]] = label
+    _fill_boundary(vals, plan.sides, lam, mu, nu)
     for a, b, c, d in plan.boundary_checks:
         if vals[a] + vals[b] < vals[c] + vals[d]:
             return None
@@ -402,7 +405,6 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
     return hives
 
 
-@lru_cache(maxsize=None)
 def count_lr_hives(lam, mu, nu, n, scan_order="row-major"):
     """The number of LR-hives on a side-n triangle, by depth-first enumeration."""
     count, _ = _search(lam, mu, nu, n, scan_order, collect=False)

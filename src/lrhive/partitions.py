@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from operator import index as _as_int
 
 
@@ -154,6 +155,11 @@ def complement(p, m, n):
     return Partition(m - padded[n - 1 - k] for k in range(n))
 
 
+def _runs(values):
+    """Maximal runs of equal values, as (value, run length) pairs in order."""
+    return [(v, len(list(g))) for v, g in groupby(values)]
+
+
 @dataclass(frozen=True)
 class ShapeClass:
     """Structure flags used by the multiplicity-free classifications."""
@@ -172,12 +178,7 @@ def shape_class(p):
     a = 1 or k = 1, two-line when a, k > 1 and a = 2 or k = 2.  A fat hook
     (a^r b^s) with a > b > 0 is a near-rectangle when any of a-b, b, r, s is 1.
     """
-    runs = []
-    for v in p.parts:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
+    runs = _runs(p.parts)
     rect = len(runs) == 1
     fat = len(runs) == 2
     one_line = two_line = near = False
@@ -213,13 +214,7 @@ def boundary_segments(p, m, n):
         raise ValueError("box sides must be positive")
     if not fits_in_box(p, m, n):
         raise ValueError(f"{p} does not fit in a {m}x{n} box")
-    bottom_up = p.padded(n)[::-1]
-    runs = []
-    for v in bottom_up:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
+    runs = _runs(p.padded(n)[::-1])
     segments = []
     starts_vertical = runs[0][0] == 0
     if not starts_vertical:

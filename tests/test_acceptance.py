@@ -10,7 +10,6 @@ import time
 from itertools import product as iproduct
 
 from lrhive.classify import lifted_witness, product_witness, skew_witness
-from lrhive.cli import verify_sweep
 from lrhive.expansions import duality_check, lr_coefficient, product_expansion, skew_expansion
 from lrhive.hives import default_hive_side, enumerate_lr_hives, lr_coefficient_hive
 from lrhive.partitions import (
@@ -27,6 +26,7 @@ from lrhive.partitions import (
     union,
 )
 from lrhive.skew import SkewShape, parse_skew_shape
+from lrhive.sweep import verify_sweep
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -56,7 +56,7 @@ def test_c01_classic_coefficient_by_both_engines():
 
 def test_c02_staircase_expansion():
     def body():
-        got = {p.parts: c for p, c in skew_expansion(S("3,2,1/2,1")).items()}
+        got = {p.parts: c for p, c in skew_expansion(S("3,2,1/2,1")).terms()}
         assert got == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
 
     criterion(2, "skew 321/21 expands to {3:1, 21:2, 111:1}", body)
@@ -64,7 +64,7 @@ def test_c02_staircase_expansion():
 
 def test_c03_seven_term_expansion():
     def body():
-        got = {p.parts: c for p, c in skew_expansion(S("4,3,2,1/2,2")).items()}
+        got = {p.parts: c for p, c in skew_expansion(S("4,3,2,1/2,2")).terms()}
         assert got == {
             (4, 2): 1,
             (4, 1, 1): 1,
@@ -118,10 +118,10 @@ _BIG_TERMS = {
 def test_c04_published_31_term_expansion():
     def body():
         shape = S("6^2,4^2,2^2/3^3")
-        by_hive = {p.parts: c for p, c in skew_expansion(shape, method="hive").items()}
+        by_hive = {p.parts: c for p, c in skew_expansion(shape, method="hive").terms()}
         assert by_hive == _BIG_TERMS
         assert [parts for parts, c in by_hive.items() if c == 2] == [(5, 4, 3, 2, 1)]
-        by_tableau = {p.parts: c for p, c in skew_expansion(shape, method="tableau").items()}
+        by_tableau = {p.parts: c for p, c in skew_expansion(shape, method="tableau").terms()}
         assert by_tableau == _BIG_TERMS
         assert len(by_tableau) == 31
 

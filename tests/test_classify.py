@@ -206,7 +206,7 @@ class TestFindWitness:
     def test_lexicographically_smallest(self):
         # two coefficient-2 terms: pick the lex-smaller key
         e = skew_expansion(S("5,4,2,1/2,1"))
-        hits = sorted(p.parts for p, c in e.items() if c >= 2)
+        hits = sorted(p.parts for p, c in e.terms() if c >= 2)
         assert len(hits) >= 2
         got = find_multiplicity_witness(e)
         assert got[0].parts == hits[0]

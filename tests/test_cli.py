@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from lrhive.cli import main, verify_sweep
+from lrhive import sweep
+from lrhive.classify import MFVerdict
+from lrhive.cli import main
+from lrhive.sweep import verify_sweep
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -144,6 +149,15 @@ class TestHives:
         assert payload["n"] == 2
         assert payload["hives"] == [[[0], [2, 1], [3, 3, 2]]]
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_dump_bytes(self, capsys, fmt, suffix):
+        code, out, err = run(
+            capsys,
+            "hives", "--lambda", "3,2,1", "--mu", "2,1", "--nu", "2,1", "--dump", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"hives_321_21_21_dump.{suffix}").read_text()
+
 
 class TestVerify:
     def test_trivial_box(self, capsys):
@@ -176,6 +190,19 @@ class TestVerify:
     def test_bad_box(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "products", "--box", "3by3")
         assert code == 2
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            verify_sweep("bogus", (2, 2))
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("family, classifier", [("products", "stembridge_mf"), ("skews", "gty_mf")])
+    def test_disagreement_records(self, capsys, monkeypatch, family, classifier, fmt, suffix):
+        # a classifier that never fires disagrees with every free instance
+        monkeypatch.setattr(sweep, classifier, lambda *args: MFVerdict.from_cases(()))
+        code, out, err = run(capsys, "verify", "--family", family, "--box", "2x2", "--format", fmt)
+        assert (code, err) == (1, "")
+        assert out == (GOLDEN / f"verify_{family}_2x2_disagree.{suffix}").read_text()
 
 
 class TestDeterminismAndLimits:
