@@ -1,9 +1,12 @@
 """Command-line front end: coefficients, expansions, verdicts, witnesses, sweeps.
 
-Exit codes: 0 success, 1 computational disagreement, 2 usage error.  Output is
-plain text by default or JSON with --format json; identical invocations print
-identical bytes.  The environment variable HIVE_LR_MAX_WEIGHT (default 40)
-caps the total weight a single query may ask for.
+Exit codes: 0 success, 1 computational disagreement, 2 usage error.  Every
+ValueError a command raises, whether from its own argument checks or from the
+library, is a usage error: main prints it as one `error:` line on stderr and
+returns 2.  Output is plain text by default or JSON with --format json;
+identical invocations print identical bytes.  The environment variable
+HIVE_LR_MAX_WEIGHT (default 40) caps the total weight a single query may ask
+for.
 
 Each command imports the parts of the library it uses when it runs, so that
 building the parser (and `lrhive --help`) loads none of them.
@@ -17,7 +20,7 @@ import os
 import sys
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -61,30 +64,37 @@ def _parse_box(text):
         raise UsageError(f"bad box {text!r}; sides must be integers") from exc
 
 
-def _emit(lines):
-    for line in lines:
-        print(line)
+def _show(args, payload, lines):
+    """Print the JSON payload or the text lines, as --format asks."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
+def _query(args, kind):
+    """Parse a product or skew query and check its weight.
 
+    Returns the instance (the arguments its expansion and its classifier
+    take), the JSON `query`, the expansion function and the classifier.
+    """
+    from . import classify, expansions
 
-def _expansion_json(query, method, expansion):
-    return {
-        "query": query,
-        "method": method,
-        "terms": [{"partition": list(p.parts), "coeff": c} for p, c in expansion.terms()],
-        "max_multiplicity": expansion.max_multiplicity(),
-    }
+    if kind == "product":
+        from .partitions import parse_partition
 
+        mu = parse_partition(args.mu)
+        nu = parse_partition(args.nu)
+        _check_weight(mu.weight + nu.weight)
+        query = {"type": "product", "mu": list(mu.parts), "nu": list(nu.parts)}
+        return (mu, nu), query, expansions.product_expansion, classify.stembridge_mf
+    from .skew import parse_skew_shape
 
-def _expansion_lines(expansion):
-    from .partitions import format_partition
-
-    lines = [f"{format_partition(p)}: {c}" for p, c in expansion.terms()]
-    lines.append(f"max multiplicity: {expansion.max_multiplicity()}")
-    return lines
+    shape = parse_skew_shape(args.shape)
+    _check_weight(shape.outer.weight)
+    query = {"type": "skew", "outer": list(shape.outer.parts), "inner": list(shape.inner.parts)}
+    return (shape,), query, expansions.skew_expansion, classify.gty_mf
 
 
 def _cmd_lrcoef(args):
@@ -99,99 +109,67 @@ def _cmd_lrcoef(args):
     if args.method == "both":
         by_hive = lr_coefficient(lam, mu, nu, "hive")
         by_tableau = lr_coefficient(lam, mu, nu, "tableau")
-        if args.format == "json":
-            _emit_json({"query": query, "method": "both", "hive": by_hive, "tableau": by_tableau})
-        else:
-            _emit([str(by_hive), str(by_tableau)])
+        payload = {"query": query, "method": "both", "hive": by_hive, "tableau": by_tableau}
+        _show(args, payload, [str(by_hive), str(by_tableau)])
         if by_hive != by_tableau:
             print(f"error: hive count {by_hive} != tableau count {by_tableau}", file=sys.stderr)
             return 1
         return 0
     value = lr_coefficient(lam, mu, nu, method=args.method)
-    if args.format == "json":
-        _emit_json({"query": query, "method": args.method, "coefficient": value})
-    else:
-        _emit([str(value)])
+    _show(args, {"query": query, "method": args.method, "coefficient": value}, [str(value)])
     return 0
 
 
-def _cmd_product(args):
-    from .expansions import product_expansion
-    from .partitions import parse_partition
+def _cmd_expansion(args):
+    from .partitions import format_partition
 
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    _check_weight(mu.weight + nu.weight)
-    expansion = product_expansion(mu, nu, method=args.method)
-    query = {"type": "product", "mu": list(mu.parts), "nu": list(nu.parts)}
-    if args.format == "json":
-        _emit_json(_expansion_json(query, args.method, expansion))
-    else:
-        _emit(_expansion_lines(expansion))
-    return 0
-
-
-def _cmd_skew(args):
-    from .expansions import skew_expansion
-    from .skew import parse_skew_shape
-
-    shape = parse_skew_shape(args.shape)
-    _check_weight(shape.outer.weight)
-    expansion = skew_expansion(shape, method=args.method)
-    query = {"type": "skew", "outer": list(shape.outer.parts), "inner": list(shape.inner.parts)}
-    if args.format == "json":
-        _emit_json(_expansion_json(query, args.method, expansion))
-    else:
-        _emit(_expansion_lines(expansion))
+    instance, query, expand, _ = _query(args, args.command)
+    expansion = expand(*instance, method=args.method)
+    terms = expansion.terms()
+    top = expansion.max_multiplicity()
+    payload = {
+        "query": query,
+        "method": args.method,
+        "terms": [{"partition": list(p.parts), "coeff": c} for p, c in terms],
+        "max_multiplicity": top,
+    }
+    lines = [f"{format_partition(p)}: {c}" for p, c in terms]
+    _show(args, payload, [*lines, f"max multiplicity: {top}"])
     return 0
 
 
 def _cmd_mf(args):
-    from .classify import find_multiplicity_witness, gty_mf, stembridge_mf
-    from .expansions import product_expansion, skew_expansion
-    from .partitions import format_partition, parse_partition
-    from .skew import parse_skew_shape
+    from .classify import find_multiplicity_witness
+    from .partitions import format_partition
 
-    if args.kind == "product":
-        if args.mu is None or args.nu is None:
-            raise UsageError("mf product needs --mu and --nu")
-        mu = parse_partition(args.mu)
-        nu = parse_partition(args.nu)
-        _check_weight(mu.weight + nu.weight)
-        verdict = stembridge_mf(mu, nu)
-        expansion = product_expansion(mu, nu, method=args.method) if args.check else None
-    else:
-        if args.shape is None:
-            raise UsageError("mf skew needs --shape")
-        shape = parse_skew_shape(args.shape)
-        _check_weight(shape.outer.weight)
-        verdict = gty_mf(shape)
-        expansion = skew_expansion(shape, method=args.method) if args.check else None
-
+    if args.kind == "product" and (args.mu is None or args.nu is None):
+        raise UsageError("mf product needs --mu and --nu")
+    if args.kind == "skew" and args.shape is None:
+        raise UsageError("mf skew needs --shape")
+    instance, _, expand, classifier = _query(args, args.kind)
+    verdict = classifier(*instance)
+    cases = verdict.sorted_cases()
     witness = None
-    enumerated_free = None
-    if expansion is not None:
+    if args.check:
+        expansion = expand(*instance, method=args.method)
         enumerated_free = expansion.max_multiplicity() <= 1
         witness = find_multiplicity_witness(expansion)
 
-    cases = verdict.sorted_cases()
-    if args.format == "json":
-        payload = {
-            "multiplicity_free": verdict.multiplicity_free,
-            "cases": cases,
-            "witness": (
-                {"partition": list(witness[0].parts), "coeff": witness[1]} if witness else None
-            ),
-        }
-        _emit_json(payload)
+    payload = {
+        "multiplicity_free": verdict.multiplicity_free,
+        "cases": cases,
+        "witness": (
+            {"partition": list(witness[0].parts), "coeff": witness[1]} if witness else None
+        ),
+    }
+    if verdict.multiplicity_free:
+        lines = [f"multiplicity-free ({', '.join(cases)})"]
     else:
-        if verdict.multiplicity_free:
-            _emit([f"multiplicity-free ({', '.join(cases)})"])
-        else:
-            _emit(["not multiplicity-free"])
-        if witness is not None:
-            _emit([f"witness: {format_partition(witness[0])} (coefficient {witness[1]})"])
-    if enumerated_free is not None and enumerated_free != verdict.multiplicity_free:
+        lines = ["not multiplicity-free"]
+    if witness:
+        lines.append(f"witness: {format_partition(witness[0])} (coefficient {witness[1]})")
+    _show(args, payload, lines)
+    if args.check and enumerated_free != verdict.multiplicity_free:
         print(
             f"error: classifier says multiplicity-free={verdict.multiplicity_free} "
             f"but enumeration says {enumerated_free}",
@@ -206,47 +184,31 @@ def _cmd_witness(args):
     from .partitions import format_partition
 
     params = _parse_params(args.params or "")
-    case = args.case
-    key = case.replace("(", "").replace(")", "").lower()
-    try:
-        if key.startswith("q"):
-            witness = product_witness(case, **params)
-        elif key.startswith("t"):
-            witness = skew_witness(case, **params)
-        elif key.startswith("u"):
-            witness = lifted_witness(case, **params)
-        else:
-            raise UsageError(f"unknown witness case {case!r}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    builders = {"q": product_witness, "t": skew_witness, "u": lifted_witness}
+    key = args.case.replace("(", "").replace(")", "").lower()[:1]
+    if key not in builders:
+        raise UsageError(f"unknown witness case {args.case!r}")
+    witness = builders[key](args.case, **params)
     _check_weight(witness.lam.weight)
     count = witness.verify()
     ok = witness.holds()
-    if args.format == "json":
-        _emit_json(
-            {
-                "case": witness.case_label,
-                "lambda": list(witness.lam.parts),
-                "mu": list(witness.mu.parts),
-                "nu": list(witness.nu.parts),
-                "constructed": list(witness.constructed.parts),
-                "expected": witness.expected,
-                "count": count,
-                "holds": ok,
-            }
-        )
-    else:
-        _emit(
-            [
-                f"case: {witness.case_label}",
-                f"lambda: {format_partition(witness.lam)}",
-                f"mu: {format_partition(witness.mu)}",
-                f"nu: {format_partition(witness.nu)}",
-                f"constructed: {format_partition(witness.constructed)}",
-                f"expected: {witness.expected}",
-                f"count: {count}",
-            ]
-        )
+    shapes = {
+        "lambda": witness.lam, "mu": witness.mu, "nu": witness.nu, "constructed": witness.constructed
+    }
+    payload = {
+        "case": witness.case_label,
+        **{name: list(p.parts) for name, p in shapes.items()},
+        "expected": witness.expected,
+        "count": count,
+        "holds": ok,
+    }
+    lines = [
+        f"case: {witness.case_label}",
+        *(f"{name}: {format_partition(p)}" for name, p in shapes.items()),
+        f"expected: {witness.expected}",
+        f"count: {count}",
+    ]
+    _show(args, payload, lines)
     if not ok:
         print(f"error: count {count} does not satisfy '{witness.expected}'", file=sys.stderr)
         return 1
@@ -262,26 +224,19 @@ def _cmd_hives(args):
     nu = parse_partition(args.nu)
     _check_weight(lam.weight)
     n = args.n if args.n is not None else default_hive_side(lam, mu, nu)
-    try:
-        hives = enumerate_lr_hives(lam, mu, nu, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        payload = {
-            "query": {"type": "hives", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)},
-            "n": n,
-            "count": len(hives),
-        }
-        if args.dump:
-            payload["hives"] = [h.diagonals() for h in hives]
-        _emit_json(payload)
-    else:
-        lines = [str(len(hives))]
-        if args.dump:
-            for idx, h in enumerate(hives, start=1):
-                lines.append(f"hive {idx}:")
-                lines.extend(" ".join(str(v) for v in row) for row in h.diagonals())
-        _emit(lines)
+    hives = enumerate_lr_hives(lam, mu, nu, n)
+    payload = {
+        "query": {"type": "hives", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)},
+        "n": n,
+        "count": len(hives),
+    }
+    lines = [str(len(hives))]
+    if args.dump:
+        payload["hives"] = [h.diagonals() for h in hives]
+        for idx, rows in enumerate(payload["hives"], start=1):
+            lines.append(f"hive {idx}:")
+            lines.extend(" ".join(str(v) for v in row) for row in rows)
+    _show(args, payload, lines)
     return 0
 
 
@@ -291,30 +246,25 @@ def _cmd_verify(args):
     box = _parse_box(args.box)
     _check_weight(box[0] * box[1])
     report = verify_sweep(args.family, box, sample=args.sample, seed=args.seed, method=args.method)
-    if args.format == "json":
-        _emit_json(
-            {
-                "family": args.family,
-                "box": list(box),
-                "method": args.method,
-                "instances": report.instances,
-                "agree": report.agreements,
-                "disagree": report.disagree,
-                "disagreements": report.disagreements,
-            }
-        )
-    else:
-        lines = [
-            f"family: {args.family}",
-            f"box: {box[0]}x{box[1]}",
-            f"method: {args.method}",
-            f"instances: {report.instances}",
-            f"agree: {report.agreements}",
-            f"disagree: {report.disagree}",
-        ]
-        for d in report.disagreements:
-            lines.append(f"disagreement: {json.dumps(d)}")
-        _emit(lines)
+    payload = {
+        "family": args.family,
+        "box": list(box),
+        "method": args.method,
+        "instances": report.instances,
+        "agree": report.agreements,
+        "disagree": report.disagree,
+        "disagreements": report.disagreements,
+    }
+    lines = [
+        f"family: {args.family}",
+        f"box: {box[0]}x{box[1]}",
+        f"method: {args.method}",
+        f"instances: {report.instances}",
+        f"agree: {report.agreements}",
+        f"disagree: {report.disagree}",
+        *(f"disagreement: {json.dumps(d)}" for d in report.disagreements),
+    ]
+    _show(args, payload, lines)
     return 1 if report.disagreements else 0
 
 
@@ -341,13 +291,13 @@ def build_parser():
     p.add_argument("--nu", required=True)
     p.add_argument("--method", choices=("hive", "tableau"), default="hive")
     add_format(p)
-    p.set_defaults(func=_cmd_product)
+    p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("skew", help="expansion of a skew Schur function")
     p.add_argument("--shape", required=True, help="OUTER/INNER, e.g. 4,3,2,1/2,2")
     p.add_argument("--method", choices=("hive", "tableau"), default="hive")
     add_format(p)
-    p.set_defaults(func=_cmd_skew)
+    p.set_defaults(func=_cmd_expansion)
 
     p = sub.add_parser("mf", help="multiplicity-free verdict")
     p.add_argument("kind", choices=("product", "skew"))
@@ -387,13 +337,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from itertools import accumulate, groupby
 
 from .partitions import Partition
 
-MAX_WEIGHT = 2**31  # defensive cap on |lambda|; labels stay well inside 64 bits
 
 # Sort keys of the scan orders; the first component numbers the row.
 _SCAN_KEYS = {
@@ -281,8 +280,6 @@ def _prepare(lam, mu, nu, n, scan_order):
     """The plan and the boundary-filled labels, or None when no hive exists."""
     if max(lam.length, mu.length, nu.length) > n:
         raise ValueError("partition lengths must not exceed n")
-    if lam.weight > MAX_WEIGHT:
-        raise ValueError(f"|lambda| exceeds supported bound {MAX_WEIGHT}")
     if lam.weight != mu.weight + nu.weight:
         return None
     plan = _plan(n, scan_order)

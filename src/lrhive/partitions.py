@@ -264,6 +264,8 @@ def bounded_partitions(weight, max_part=None, max_length=None):
 
 def partitions_in_box(m, n):
     """All partitions inside the m x n box, by weight then decreasing lex."""
+    if m < 0 or n < 0:
+        raise ValueError(f"box sides must be non-negative, got {m}x{n}")
     out = [Partition()]
     for w in range(1, m * n + 1):
         out.extend(bounded_partitions(w, max_part=m, max_length=n))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import lrhive.classify
+import lrhive.expansions
 from lrhive import sweep
 from lrhive.classify import MFVerdict
 from lrhive.cli import main
@@ -191,6 +193,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "products", "--box", "3by3")
         assert code == 2
 
+    def test_negative_box_side(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "skews", "--box=-2x-2")
+        assert (code, out) == (2, "")
+        assert err == "error: box sides must be non-negative, got -2x-2\n"
+
+    def test_empty_box(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "skews", "--box", "0x3")
+        assert code == 0
+        assert "instances: 1" in out
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             verify_sweep("bogus", (2, 2))
@@ -231,6 +243,29 @@ class TestDeterminismAndLimits:
         with pytest.raises(SystemExit) as exc:
             main(["lrcoef", "--lambda", "2,1"])
         assert exc.value.code == 2
+
+
+# Forced computational disagreements, each a name in a golden file's "patch".
+PATCHES = {
+    "tableau-count-3": (lrhive.expansions, "lr_tableau_count", lambda *args: 3),
+    "stembridge-says-free": (
+        lrhive.classify, "stembridge_mf", lambda *args: MFVerdict.from_cases(("P1",))
+    ),
+    "hive-count-1": (lrhive.classify, "lr_coefficient_hive", lambda *args: 1),
+}
+
+
+class TestGolden:
+    """Stdout, stderr and exit code of whole commands, pinned byte for byte."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("cli_*.json")), ids=lambda p: p.stem)
+    def test_replay(self, capsys, monkeypatch, path):
+        case = json.loads(path.read_text())
+        monkeypatch.delenv("HIVE_LR_MAX_WEIGHT", raising=False)
+        if case["patch"] is not None:
+            monkeypatch.setattr(*PATCHES[case["patch"]])
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestStartup:

@@ -274,6 +274,12 @@ class TestGenerators:
         # partitions inside a 3x3 box: binomial(6, 3)
         assert len(partitions_in_box(3, 3)) == 20
 
+    def test_box_sides(self):
+        assert partitions_in_box(0, 3) == partitions_in_box(3, 0) == [Partition()]
+        for m, n in ((-1, 3), (3, -1), (-2, -2)):
+            with pytest.raises(ValueError, match="box sides must be non-negative"):
+                partitions_in_box(m, n)
+
     def test_subpartitions(self):
         subs = list(subpartitions(P("2,1")))
         assert len(subs) == len(set(subs)) == 5
