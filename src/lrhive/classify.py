@@ -169,8 +169,8 @@ class Witness:
         """Hive count of the witness triple."""
         return lr_coefficient_hive(self.lam, self.mu, self.nu)
 
-    def holds(self):
-        count = self.verify()
+    def holds(self, count):
+        """Whether a count of the triple, as verify() returns it, keeps the promise."""
         if self.expected == "exactly 2":
             return count == 2
         return count >= 2
@@ -206,7 +206,7 @@ def _need_basic(lam, mu, case):
         raise ValueError(f"{case} parameters give a non-basic shape {lam}/{mu}")
 
 
-def product_witness(case, **params):
+def product_witness(case, /, **params):
     """The tabulated lambda with coefficient exactly 2 for the (mu, nu) case."""
     case = _norm_case(case, PRODUCT_WITNESS_CASES)
     if case == "Q1":
@@ -231,7 +231,7 @@ def product_witness(case, **params):
     return Witness(case, lam, mu, nu, constructed=lam, expected="exactly 2")
 
 
-def skew_witness(case, **params):
+def skew_witness(case, /, **params):
     """The tabulated nu with coefficient exactly 2 for the (lam, mu) case."""
     case = _norm_case(case, SKEW_WITNESS_CASES)
     if case.startswith("T1"):
@@ -317,7 +317,7 @@ def _reduction_witness(family, sigma, tau):
     return w.nu
 
 
-def lifted_witness(case, **params):
+def lifted_witness(case, /, **params):
     """A nu with coefficient at least 2, lifted from a reduced T-case witness.
 
     Each case strips one row (and in the equal-parameter branches one column

@@ -59,9 +59,12 @@ def _parse_box(text):
     if not sep:
         raise UsageError(f"bad box {text!r}; expected mXn, e.g. 3x3")
     try:
-        return int(m), int(n)
+        m, n = int(m), int(n)
     except ValueError as exc:
         raise UsageError(f"bad box {text!r}; sides must be integers") from exc
+    if m < 0 or n < 0:
+        raise UsageError(f"box sides must be non-negative, got {m}x{n}")
+    return m, n
 
 
 def _show(args, payload, lines):
@@ -191,7 +194,7 @@ def _cmd_witness(args):
     witness = builders[key](args.case, **params)
     _check_weight(witness.lam.weight)
     count = witness.verify()
-    ok = witness.holds()
+    ok = witness.holds(count)
     shapes = {
         "lambda": witness.lam, "mu": witness.mu, "nu": witness.nu, "constructed": witness.constructed
     }

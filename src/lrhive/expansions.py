@@ -1,7 +1,7 @@
 """Schur product and skew expansions assembled from per-coefficient engines.
 
-Candidate terms are generated inside the weight/length/containment support
-envelope first, then the chosen engine (hives or tableaux) counts each
+Candidate terms are generated only inside the weight/length/containment
+support envelope, then the chosen engine (hives or tableaux) counts each
 coefficient; the two engines must agree term by term.
 """
 
@@ -13,9 +13,6 @@ from .hives import lr_coefficient_hive
 from .partitions import Partition, bounded_partitions, contains
 from .skew import SkewShape
 from .tableaux import lr_tableau_count
-
-METHODS = ("hive", "tableau")
-
 
 class Expansion:
     """A finite map from partitions to positive coefficients, one weight."""
@@ -87,37 +84,29 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _expand(weight, outer, inner, coefficient):
+    """Expansion over the partitions of `weight` between inner and outer."""
+    coeffs = {}
+    for p in bounded_partitions(weight, outer, inner):
+        c = coefficient(p)
+        if c:
+            coeffs[p] = c
+    return Expansion(coeffs)
+
+
 @lru_cache(maxsize=None)
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
-    Candidates are the partitions of |mu| + |nu| containing both factors,
-    with length at most len(mu) + len(nu) and first part at most mu_1 + nu_1;
-    each candidate's coefficient comes from lr_coefficient.
+    Candidates are the partitions of |mu| + |nu| containing both factors and
+    inside the (mu_1 + nu_1) x (len(mu) + len(nu)) rectangle; each
+    candidate's coefficient comes from lr_coefficient.  Cached because
+    Expansion.multiply asks for the same pairs again and again.
     """
-    weight = mu.weight + nu.weight
-    max_part = (mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)
-    coeffs = {}
-    for lam in bounded_partitions(weight, max_part=max_part, max_length=mu.length + nu.length):
-        if not (contains(mu, lam) and contains(nu, lam)):
-            continue
-        c = lr_coefficient(lam, mu, nu, method)
-        if c:
-            coeffs[lam] = c
-    return Expansion(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _skew_expansion(lam, mu, method):
-    weight = lam.weight - mu.weight
-    coeffs = {}
-    for nu in bounded_partitions(weight, max_part=lam.parts[0] if lam else 0, max_length=lam.length):
-        if not contains(nu, lam):
-            continue
-        c = lr_coefficient(lam, mu, nu, method)
-        if c:
-            coeffs[nu] = c
-    return Expansion(coeffs)
+    n = mu.length + nu.length
+    outer = Partition([(mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)] * n)
+    inner = Partition(map(max, mu.padded(n), nu.padded(n)))
+    return _expand(mu.weight + nu.weight, outer, inner, lambda lam: lr_coefficient(lam, mu, nu, method))
 
 
 def skew_expansion(shape, method="hive"):
@@ -126,7 +115,8 @@ def skew_expansion(shape, method="hive"):
     Candidates are the partitions of the cell count contained in the outer
     partition; each candidate's coefficient comes from lr_coefficient.
     """
-    return _skew_expansion(shape.outer, shape.inner, method)
+    lam, mu = shape.outer, shape.inner
+    return _expand(shape.size, lam, None, lambda nu: lr_coefficient(lam, mu, nu, method))
 
 
 def duality_check(lam, mu, nu, method="hive"):

@@ -408,7 +408,6 @@ def count_lr_hives(lam, mu, nu, n, scan_order="row-major"):
     return count
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient_hive(lam, mu, nu):
     """The LR coefficient as the number of LR-hives.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import index as _as_int
 
 
@@ -235,54 +235,53 @@ def shortness(p, m, n):
     return min(boundary_segments(p, m, n).segments)
 
 
-def bounded_partitions(weight, max_part=None, max_length=None):
-    """Partitions of `weight` with the given bounds, in decreasing lex order."""
-    if max_part is None:
-        max_part = weight
-    if max_length is None:
-        max_length = weight
+def _walk(cap, floor=(), weight=None):
+    """Parts tuples p with floor_i <= p_i <= cap_i, each prefix before its extensions.
 
-    def rec(remaining, cap, slots, prefix):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        top = min(cap, remaining)
-        for v in range(top, 0, -1):
-            if v * slots < remaining:
-                break
-            prefix.append(v)
-            yield from rec(remaining - v, v, slots - 1, prefix)
-            prefix.pop()
+    Larger parts come first, so partitions of one weight come out in
+    decreasing lex order.  Without a weight every prefix comes out; with one,
+    only the partitions of that weight, and a prefix is extended only while
+    the floors ahead fit in the weight left and the rows left can hold it.
+    The stack is explicit, so long partitions need no deep recursion.
+    """
+    rows = len(cap)
+    floor = tuple(floor) + (0,) * (rows + 1 - len(floor))
+    need = list(accumulate(reversed(floor)))[::-1]  # need[i] = sum(floor[i:])
+    stack = [((), weight or 0)]
+    while stack:
+        prefix, left = stack.pop()
+        i = len(prefix)
+        if weight is None or left == need[i] == 0:
+            yield prefix
+        if i == rows:
+            continue
+        hi = min(cap[i], prefix[-1]) if prefix else cap[i]
+        lo = max(floor[i], 1)
+        if weight is not None:
+            hi = min(hi, left - need[i + 1])
+            lo = max(lo, -(-left // (rows - i)))  # ceil(left / rows left)
+        stack.extend((prefix + (v,), left - v) for v in range(lo, hi + 1))
 
-    if weight == 0:
-        yield Partition()
-        return
-    if max_part <= 0 or max_length <= 0:
-        return
-    yield from rec(weight, max_part, max_length, [])
+
+def bounded_partitions(weight, outer=None, inner=None):
+    """Partitions of `weight` containing inner and contained in outer, in decreasing lex order.
+
+    Without an outer bound every partition of `weight` containing inner comes out.
+    """
+    cap = (weight,) * weight if outer is None else outer.parts
+    for parts in _walk(cap, inner.parts if inner else (), weight):
+        yield Partition(parts)
 
 
 def partitions_in_box(m, n):
     """All partitions inside the m x n box, by weight then decreasing lex."""
     if m < 0 or n < 0:
         raise ValueError(f"box sides must be non-negative, got {m}x{n}")
-    out = [Partition()]
-    for w in range(1, m * n + 1):
-        out.extend(bounded_partitions(w, max_part=m, max_length=n))
-    return out
+    box = Partition([m] * n)
+    return [p for w in range(m * n + 1) for p in bounded_partitions(w, box)]
 
 
 def subpartitions(p):
     """All partitions contained in p, including 0 and p itself."""
-    parts = p.parts
-
-    def rec(i, cap, prefix):
-        yield Partition(prefix)
-        if i == len(parts):
-            return
-        for v in range(min(cap, parts[i]), 0, -1):
-            prefix.append(v)
-            yield from rec(i + 1, v, prefix)
-            prefix.pop()
-
-    yield from rec(0, parts[0] if parts else 0, [])
+    for parts in _walk(p.parts):
+        yield Partition(parts)

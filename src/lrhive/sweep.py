@@ -12,7 +12,7 @@ import random
 
 from .classify import gty_mf, stembridge_mf
 from .expansions import product_expansion, skew_expansion
-from .partitions import partitions_in_box, subpartitions
+from .partitions import Partition, partitions_in_box, subpartitions
 from .skew import SkewShape, format_skew_shape
 
 
@@ -40,6 +40,12 @@ def _skew_key(shape):
     return {"shape": format_skew_shape(shape)}
 
 
+def _basic_cap(lam):
+    """Largest mu with lam/mu basic (no empty row or column): mu_r = min(lam_r - 1, lam_{r+1})."""
+    below = lam.parts[1:] + (0,)
+    return Partition(min(a - 1, b) for a, b in zip(lam.parts, below))
+
+
 def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     """Differential sweep: classifier verdict vs enumerated max multiplicity.
 
@@ -52,8 +58,7 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
         instances = [(mu, nu) for mu in parts for nu in parts]
         classify, expand, key = stembridge_mf, product_expansion, _product_key
     elif family == "skews":
-        shapes = (SkewShape(lam, mu) for lam in parts for mu in subpartitions(lam))
-        instances = [(shape,) for shape in shapes if shape.is_basic()]
+        instances = [(SkewShape(lam, mu),) for lam in parts for mu in subpartitions(_basic_cap(lam))]
         classify, expand, key = gty_mf, skew_expansion, _skew_key
     else:
         raise ValueError(f"unknown family {family!r}")

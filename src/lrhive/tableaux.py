@@ -6,8 +6,6 @@ hive engine so the two can be played against each other.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .partitions import Partition, contains
 from .skew import SkewShape
 
@@ -132,7 +130,6 @@ def enumerate_lr_tableaux(lam, mu, nu, *, prune_lattice=True):
     yield from fill(0)
 
 
-@lru_cache(maxsize=None)
 def lr_tableau_count(lam, mu, nu):
     """Number of lattice semistandard fillings of lam/mu with content nu."""
     return sum(1 for _ in enumerate_lr_tableaux(lam, mu, nu))

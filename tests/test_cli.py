@@ -10,6 +10,9 @@ import lrhive.expansions
 from lrhive import sweep
 from lrhive.classify import MFVerdict
 from lrhive.cli import main
+from lrhive.expansions import Expansion
+from lrhive.partitions import partitions_in_box, subpartitions
+from lrhive.skew import SkewShape
 from lrhive.sweep import verify_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -115,6 +118,12 @@ class TestWitness:
         assert code == 2
         assert "requires" in err
 
+    def test_case_is_not_a_parameter(self, capsys):
+        code, out, err = run(capsys, "witness", "Q1", "--params", "case=1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Q1 takes parameters a, b, c, d;") and err.count("\n") == 1
+        assert "unexpected ['case']" in err
+
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "witness", "Z9", "--params", "a=1")
         assert code == 2
@@ -206,6 +215,26 @@ class TestVerify:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             verify_sweep("bogus", (2, 2))
+
+    def test_negative_sides_checked_before_weight(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "products", "--box=-7x-7")
+        assert (code, out) == (2, "")
+        assert err == "error: box sides must be non-negative, got -7x-7\n"
+
+    @pytest.mark.parametrize("box", [(0, 3), (3, 3), (4, 4), (5, 6)])
+    def test_skew_instances_are_the_basic_shapes_in_order(self, monkeypatch, box):
+        seen = []
+
+        def recording(shape):
+            seen.append(shape)
+            return lrhive.classify.gty_mf(shape)
+
+        monkeypatch.setattr(sweep, "gty_mf", recording)
+        # only the instances and their order are under test, so skip the expansions
+        monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: Expansion())
+        verify_sweep("skews", box)
+        shapes = (SkewShape(lam, mu) for lam in partitions_in_box(*box) for mu in subpartitions(lam))
+        assert seen == [shape for shape in shapes if shape.is_basic()]
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("family, classifier", [("products", "stembridge_mf"), ("skews", "gty_mf")])

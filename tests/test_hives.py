@@ -57,7 +57,7 @@ def product_triples(m, n):
     for mu in box:
         for nu in box:
             max_part = (mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)
-            for lam in bounded_partitions(mu.weight + nu.weight, max_part, mu.length + nu.length):
+            for lam in bounded_partitions(mu.weight + nu.weight, Partition([max_part] * (mu.length + nu.length))):
                 if contains(mu, lam) and contains(nu, lam):
                     yield lam, mu, nu
 
@@ -68,7 +68,7 @@ def basic_skew_triples(m, n):
         for mu in subpartitions(lam):
             if not SkewShape(lam, mu).is_basic():
                 continue
-            for nu in bounded_partitions(lam.weight - mu.weight, lam.parts[0] if lam else 0, lam.length):
+            for nu in bounded_partitions(lam.weight - mu.weight, Partition([lam.parts[0] if lam else 0] * lam.length)):
                 if contains(nu, lam):
                     yield lam, mu, nu
 

@@ -267,7 +267,7 @@ class TestGenerators:
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_bounds_respected(self):
-        for p in bounded_partitions(6, max_part=3, max_length=3):
+        for p in bounded_partitions(6, Partition([3] * 3)):
             assert p.weight == 6 and p.length <= 3 and p.parts[0] <= 3
 
     def test_box_count(self):
@@ -284,3 +284,17 @@ class TestGenerators:
         subs = list(subpartitions(P("2,1")))
         assert len(subs) == len(set(subs)) == 5
         assert set(s.parts for s in subs) == {(), (1,), (2,), (1, 1), (2, 1)}
+
+    def test_bounds_match_filtered_rectangle(self):
+        shapes = partitions_in_box(3, 3)
+        for outer in shapes:
+            rect = Partition([outer.parts[0] if outer else 0] * outer.length)
+            for inner in shapes:
+                for w in range(10):
+                    want = [p for p in bounded_partitions(w, rect) if contains(inner, p) and contains(p, outer)]
+                    assert list(bounded_partitions(w, outer, inner)) == want, (w, outer, inner)
+
+    def test_long_columns_need_no_recursion(self):
+        assert sum(1 for _ in subpartitions(Partition([1] * 1200))) == 1201
+        column = Partition([1] * 1100)
+        assert list(bounded_partitions(1100, column)) == [column]

@@ -82,7 +82,7 @@ class TestAgainstBruteForce:
         for w in range(7):
             for lam in bounded_partitions(w):
                 for mu in subpartitions(lam):
-                    for nu in bounded_partitions(w - mu.weight, max_part=w, max_length=4):
+                    for nu in bounded_partitions(w - mu.weight, Partition([w] * 4)):
                         assert lr_tableau_count(lam, mu, nu) == len(
                             brute_fillings(lam, mu, nu)
                         ), (lam, mu, nu)

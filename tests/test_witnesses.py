@@ -53,7 +53,7 @@ class TestProductWitnesses:
         w = product_witness("Q1", a=2, b=1, c=2, d=1)
         assert w.lam == P("3,2,1") == w.constructed
         assert w.mu == P("2,1") and w.nu == P("2,1")
-        assert w.verify() == 2 and w.holds()
+        assert w.verify() == 2 and w.holds(w.verify())
 
     def test_q2_example(self):
         w = product_witness("Q2", a=3, b=2, c=1, d=2)
@@ -120,7 +120,7 @@ class TestLiftedWitnesses:
         w = lifted_witness("U1i", a=4, b=3, c=1, d=2, e=1)
         assert w.lam == P("4,4,3,1") and w.mu == P("2,1")
         assert w.nu == P("4,3,2")
-        assert w.verify() >= 2 and w.holds()
+        assert w.verify() >= 2 and w.holds(w.verify())
 
     def test_u1i_equal_branch(self):
         # b == e exercises the column-then-row lift
