@@ -32,7 +32,6 @@ _EXPORTS = {
     "hives": (
         "Hive",
         "HiveBoundary",
-        "count_lr_hives",
         "default_hive_side",
         "edge_labels",
         "enumerate_lr_hives",

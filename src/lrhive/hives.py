@@ -38,9 +38,6 @@ class Hive:
         self.n = n
         self.rows = rows
 
-    def label(self, i, j):
-        return self.rows[i][j]
-
     def diagonals(self):
         """Vertex labels grouped apex to base; row k lists a_{k,0} .. a_{0,k}."""
         return [[self.rows[k - t][t] for t in range(k + 1)] for k in range(self.n + 1)]
@@ -326,47 +323,18 @@ def _walk(steps, vals, cap, leaf):
     rec(0)
 
 
-def _search(lam, mu, nu, n, scan_order, collect):
-    """Depth-first assignment of interior labels; returns (count, hives)."""
-    prepared = _prepare(lam, mu, nu, n, scan_order)
-    if prepared is None:
-        return 0, []
-    plan, vals = prepared
-    all_ineqs = plan.all_ineqs
-    out = [] if collect else None
-    count = 0
-
-    def leaf():
-        nonlocal count
-        # safety net: every leaf re-passes the full inequality system
-        for a, b, c, d in all_ineqs:
-            if vals[a] + vals[b] < vals[c] + vals[d]:
-                return
-        count += 1
-        if out is not None:
-            out.append(tuple(vals))
-
-    _walk(plan.steps, vals, lam.weight, leaf)
-    hives = []
-    if collect:
-        vid = plan.vid
-        for flat in out:
-            rows = [[flat[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]
-            hives.append(Hive(n, rows))
-    return count, hives
+def _holds(plan, vals):
+    """True iff the labels satisfy every rhombus inequality of the plan's side."""
+    return all(vals[a] + vals[b] >= vals[c] + vals[d] for a, b, c, d in plan.all_ineqs)
 
 
-def _count_by_rows(lam, mu, nu, n):
-    """The number of LR-hives on a side-n triangle, by a row-by-row frontier DP.
+def _by_rows(plan, vals, cap, keys):
+    """Walk the plan's rows in order; return {final key: partial hives reaching it}.
 
-    Partial hives that agree on the frontier (the labels later rows still
-    read) have the same completions, so each row is walked once per distinct
-    frontier and the number of partial hives reaching each one is carried on.
+    After row r a partial hive is identified by the labels of the vertices
+    keys[r], and partial hives with equal labels there are merged, their
+    numbers summed.  Each row is walked once per distinct key carried in.
     """
-    prepared = _prepare(lam, mu, nu, n, "row-major")
-    if prepared is None:
-        return 0
-    plan, vals = prepared
     frontier = {(): 1}
     carried = ()
 
@@ -374,15 +342,29 @@ def _count_by_rows(lam, mu, nu, n):
         key = tuple([vals[u] for u in live])
         reached[key] = reached.get(key, 0) + mult
 
-    for row_steps, live in plan.rows:
+    for (row_steps, _), live in zip(plan.rows, keys):
         reached = {}
         for labels, mult in frontier.items():
             for u, label in zip(carried, labels):
                 vals[u] = label
-            _walk(row_steps, vals, lam.weight, leaf)
+            _walk(row_steps, vals, cap, leaf)
         frontier = reached
         carried = live
-    return frontier.get((), 0)
+    return frontier
+
+
+def _count_by_rows(lam, mu, nu, n):
+    """The number of LR-hives on a side-n triangle, by a row-by-row frontier DP.
+
+    Partial hives that agree on the frontier (the labels later rows still
+    read) have the same completions, so they merge on it; the last row
+    leaves an empty frontier, reached once per hive.
+    """
+    prepared = _prepare(lam, mu, nu, n, "row-major")
+    if prepared is None:
+        return 0
+    plan, vals = prepared
+    return _by_rows(plan, vals, lam.weight, [live for _, live in plan.rows]).get((), 0)
 
 
 def default_hive_side(lam, mu, nu):
@@ -394,18 +376,27 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
     """All integer LR-hives with the (lam, mu, nu) boundary on a side-n triangle.
 
     Weight-infeasible input gives an empty list.  Order is deterministic:
-    lexicographic in the interior labels along the scan order.
+    lexicographic in the interior labels along the scan order.  The row walk
+    keys each partial hive on every label assigned so far, so nothing merges
+    and the final keys are the hives; each is re-checked against every
+    rhombus inequality.
     """
     if n is None:
         n = default_hive_side(lam, mu, nu)
-    _, hives = _search(lam, mu, nu, n, scan_order, collect=True)
+    prepared = _prepare(lam, mu, nu, n, scan_order)
+    if prepared is None:
+        return []
+    plan, vals = prepared
+    assigned = accumulate(tuple(step.vid for step in row_steps) for row_steps, _ in plan.rows)
+    interior = [step.vid for step in plan.steps]
+    vid = plan.vid
+    hives = []
+    for labels in _by_rows(plan, vals, lam.weight, assigned):
+        for u, label in zip(interior, labels):
+            vals[u] = label
+        if _holds(plan, vals):
+            hives.append(Hive(n, [[vals[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]))
     return hives
-
-
-def count_lr_hives(lam, mu, nu, n, scan_order="row-major"):
-    """The number of LR-hives on a side-n triangle, by depth-first enumeration."""
-    count, _ = _search(lam, mu, nu, n, scan_order, collect=False)
-    return count
 
 
 def lr_coefficient_hive(lam, mu, nu):
@@ -436,7 +427,7 @@ def is_valid_lr_hive(hive, boundary):
     flat = [0] * plan.size
     for (i, j), v in plan.vid.items():
         flat[v] = hive.rows[i][j]
-    return all(flat[a] + flat[b] >= flat[c] + flat[d] for a, b, c, d in plan.all_ineqs)
+    return _holds(plan, flat)
 
 
 def free_interior_vertices(lam, mu, nu, n):

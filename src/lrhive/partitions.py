@@ -91,7 +91,8 @@ def parse_partition(text):
     """Parse comma/space separated parts, with optional v^k exponent runs.
 
     "9^2,6^3" parses to (9,9,6,6,6); zeros are accepted anywhere the sequence
-    stays weakly decreasing and are stripped from the result.
+    stays weakly decreasing and are stripped from the result.  A zero run
+    stands as one zero, which is enough to reject a nonzero part after it.
     """
     text = text.strip()
     if text in ("", "0"):
@@ -105,7 +106,7 @@ def parse_partition(text):
         k = int(m.group(2)) if m.group(2) is not None else 1
         if k < 1:
             raise ValueError(f"exponent must be positive in {tok!r}")
-        raw.extend([v] * k)
+        raw.extend([v] * (k if v else 1))
     return Partition(raw)
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+from lrhive.cli import main
 from lrhive.hives import (
     SCAN_ORDERS,
     Hive,
@@ -10,7 +12,6 @@ from lrhive.hives import (
     _check_plan,
     _count_by_rows,
     _plan,
-    count_lr_hives,
     default_hive_side,
     edge_labels,
     enumerate_lr_hives,
@@ -275,7 +276,7 @@ class TestFrontierCount:
         seen = nonzero = 0
         for lam, mu, nu in triples():
             by_rows = _count_by_rows(lam, mu, nu, tight_side(lam, mu, nu))
-            assert by_rows == count_lr_hives(lam, mu, nu, default_hive_side(lam, mu, nu)), (lam, mu, nu)
+            assert by_rows == len(enumerate_lr_hives(lam, mu, nu, default_hive_side(lam, mu, nu))), (lam, mu, nu)
             assert by_rows == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
             seen += 1
             nonzero += by_rows > 0
@@ -297,6 +298,62 @@ class TestFrontierCount:
         # 1035 interior vertices: deeper than the default recursion limit
         ones = lambda k: Partition([1] * k)
         assert lr_coefficient_hive(ones(47), ones(23), ones(24)) == 1
+
+    def test_deep_column_enumeration(self):
+        ones = lambda k: Partition([1] * k)
+        lam, mu, nu = ones(47), ones(23), ones(24)
+        hives = enumerate_lr_hives(lam, mu, nu)
+        assert len(hives) == 1
+        assert is_valid_lr_hive(hives[0], HiveBoundary(47, lam, mu, nu))
+
+    def test_deep_column_cli(self, capsys, monkeypatch):
+        monkeypatch.setenv("HIVE_LR_MAX_WEIGHT", "47")
+        code = main(["hives", "--lambda", "1^47", "--mu", "1^23", "--nu", "1^24"])
+        assert (code, capsys.readouterr().out) == (0, "1\n")
+
+
+class TestBruteForce:
+    """Enumeration against every interior labelling, filtered by validation alone."""
+
+    SCAN_KEYS = {"row-major": lambda v: v, "anti-diagonal": lambda v: (v[0] + v[1], v[0])}
+
+    def brute_force(self, lam, mu, nu, n, scan_order):
+        """Every valid hive, with the interior labelled lexicographically in scan order."""
+        boundary = HiveBoundary(n, lam, mu, nu)
+        rows = [[0] * (n + 1 - i) for i in range(n + 1)]
+        for (i, j), label in boundary.vertex_labels().items():
+            rows[i][j] = label
+        interior = sorted(
+            ((i, j) for i in range(1, n) for j in range(1, n - i)), key=self.SCAN_KEYS[scan_order]
+        )
+        hives = []
+        for labels in itertools.product(range(lam.weight + 1), repeat=len(interior)):
+            for (i, j), label in zip(interior, labels):
+                rows[i][j] = label
+            hive = Hive(n, rows)
+            if is_valid_lr_hive(hive, boundary):
+                hives.append(hive)
+        return hives
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_small_triangles(self, scan_order):
+        checked = 0
+        for lam, mu, nu in all_triples(5):
+            n = default_hive_side(lam, mu, nu)
+            if n > 4:
+                continue
+            expected = self.brute_force(lam, mu, nu, n, scan_order)
+            assert enumerate_lr_hives(lam, mu, nu, n, scan_order=scan_order) == expected, (lam, mu, nu)
+            checked += 1
+        assert checked == 323
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_order_of_two_hives(self, scan_order):
+        # every coefficient up to weight 5 is at most 1, so only these show the order
+        for lam, mu, nu in ((P("3,2,1"), P("2,1"), P("2,1")), (P("4,3,2,1"), P("2,2"), P("3,2,1"))):
+            expected = self.brute_force(lam, mu, nu, 4, scan_order)
+            assert len(expected) == 2
+            assert enumerate_lr_hives(lam, mu, nu, 4, scan_order=scan_order) == expected
 
 
 class TestPlanCoverage:

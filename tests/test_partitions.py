@@ -60,6 +60,13 @@ class TestParse:
         assert P("") == Partition()
         assert P("0^4") == Partition()
 
+    def test_zero_runs_are_not_built(self):
+        assert P("2,0^1000000000") == Partition([2])
+        with pytest.raises(ValueError, match="^parts must be weakly decreasing, got 0 before 1$"):
+            P("0^5,1")
+        with pytest.raises(ValueError, match="got 0 before 1"):
+            P("0^1000000000,1")
+
     def test_space_separated(self):
         assert P("4 3 2 1").parts == (4, 3, 2, 1)
 
