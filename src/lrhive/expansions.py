@@ -1,8 +1,8 @@
-"""Schur product and skew expansions assembled from per-coefficient engines.
+"""Schur product and skew expansions by either engine; the two must agree term by term.
 
-Candidate terms are generated only inside the weight/length/containment
-support envelope, then the chosen engine (hives or tableaux) counts each
-coefficient; the two engines must agree term by term.
+Tableaux expand a skew shape in one row-by-row walk, and s_mu s_nu as the
+skew shape mu*nu.  Hives count one coefficient per candidate term, and the
+candidates are generated only inside the LR support.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from functools import lru_cache
 from .hives import lr_coefficient_hive
 from .partitions import Partition, bounded_partitions, contains
 from .skew import SkewShape
-from .tableaux import lr_tableau_count
+from .tableaux import lr_expansion, lr_tableau_count
 
 class Expansion:
     """A finite map from partitions to positive coefficients, one weight."""
@@ -98,11 +98,15 @@ def _expand(weight, outer, inner, coefficient):
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
-    Candidates are the partitions of |mu| + |nu| containing both factors and
-    inside the (mu_1 + nu_1) x (len(mu) + len(nu)) rectangle; each
-    candidate's coefficient comes from lr_coefficient.  Cached because
-    Expansion.multiply asks for the same pairs again and again.
+    By tableaux: the skew shape mu*nu, outer (mu_i + nu_1, ..., nu) and inner
+    (nu_1^len(mu)).  By hives: lr_coefficient on each partition of |mu| + |nu|
+    containing both factors, inside the (mu_1 + nu_1) x (len(mu) + len(nu))
+    rectangle.  Cached because Expansion.multiply asks for the same pairs.
     """
+    if method == "tableau":
+        shift = nu.parts[0] if nu else 0
+        outer = Partition([m + shift for m in mu.parts] + list(nu.parts))
+        return Expansion(lr_expansion(outer, Partition([shift] * mu.length)))
     n = mu.length + nu.length
     outer = Partition([(mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)] * n)
     inner = Partition(map(max, mu.padded(n), nu.padded(n)))
@@ -112,9 +116,11 @@ def product_expansion(mu, nu, method="hive"):
 def skew_expansion(shape, method="hive"):
     """Expansion of the skew Schur function of the given shape.
 
-    Candidates are the partitions of the cell count contained in the outer
-    partition; each candidate's coefficient comes from lr_coefficient.
+    By tableaux: one walk over the shape.  By hives: lr_coefficient on each
+    partition of the cell count contained in the outer partition.
     """
+    if method == "tableau":
+        return Expansion(lr_expansion(shape.outer, shape.inner))
     lam, mu = shape.outer, shape.inner
     return _expand(shape.size, lam, None, lambda nu: lr_coefficient(lam, mu, nu, method))
 

@@ -6,6 +6,8 @@ hive engine so the two can be played against each other.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .partitions import Partition, contains
 from .skew import SkewShape
 
@@ -21,18 +23,7 @@ class LRTableau:
 
     def reverse_reading_word(self):
         """Entries read right-to-left along each row, rows top to bottom."""
-        word = []
-        ip = self.shape.inner.padded(self.shape.outer.length)
-        for r, w in enumerate(self.shape.outer.parts, start=1):
-            for c in range(w, ip[r - 1], -1):
-                word.append(self.entries[(r, c)])
-        return word
-
-    def content(self):
-        counts = {}
-        for v in self.entries.values():
-            counts[v] = counts.get(v, 0) + 1
-        return Partition(counts.get(i, 0) for i in range(1, max(counts, default=0) + 1))
+        return [self.entries[cell] for cell in _reverse_reading_cells(self.shape.outer, self.shape.inner)]
 
     def __eq__(self, other):
         if not isinstance(other, LRTableau):
@@ -70,66 +61,73 @@ def is_valid_lr_tableau(t, nu):
             return False
         if (r + 1, c) in cells and not v < t.entries[(r + 1, c)]:
             return False
-    counts = {}
-    for v in t.entries.values():
-        counts[v] = counts.get(v, 0) + 1
-    if counts != {i: v for i, v in enumerate(nu.parts, start=1)}:
-        return False
-    return is_lattice_word(t.reverse_reading_word())
+    content = Counter(t.entries.values())
+    return content == dict(enumerate(nu.parts, start=1)) and is_lattice_word(t.reverse_reading_word())
 
 
-def enumerate_lr_tableaux(lam, mu, nu, *, prune_lattice=True):
-    """All lattice semistandard fillings of lam/mu with content nu.
+def _reverse_reading_cells(lam, mu):
+    """The cells of lam/mu in reverse reading order: rows top to bottom, each right to left."""
+    ip = mu.padded(lam.length)
+    return [(r, c) for r, w in enumerate(lam.parts, start=1) for c in range(w, ip[r - 1], -1)]
 
-    Cells are filled in reverse reading order so the lattice condition can be
-    enforced one prefix at a time; with prune_lattice=False the word is only
-    checked at complete fillings (same result set, useful as a cross-check).
-    Deterministic order: lexicographic in the fill sequence.
+
+def _by_rows(lam, mu, cap, keep):
+    """Fill lam/mu in reverse reading order; return {(content, (), word): fillings}.
+
+    Rows go top to bottom, each filled right to left from an explicit stack.
+    Entries weakly decrease along a row, exceed the entry above and are at
+    most len(cap); content[v], the number of v's, stays at most cap[v - 1],
+    and the word stays lattice.  After row r, fillings that agree on their
+    content, on row r's entries above row r + 1 and, with keep, on their word
+    merge, their numbers summed; with keep the words come out in lex order.
     """
-    if not contains(mu, lam):
-        return
-    if lam.weight - mu.weight != nu.weight:
+    top = len(cap)
+    frontier = {((0,) * (top + 1), (), ()): 1}
+    for width, start, below in zip(lam.parts, mu.padded(lam.length), lam.parts[1:] + (0,)):
+        reached = {}
+        for (content, carried, word), mult in frontier.items():
+            counts = list(content)
+            floor = carried + (0,) * (width - start - len(carried))  # entries above, 0 under mu
+            row, i = list(floor), 0
+            while i >= 0:
+                if i == len(row):
+                    key = (tuple(counts), tuple(row[width - below:]), word + tuple(row) if keep else ())
+                    reached[key] = reached.get(key, 0) + mult
+                else:
+                    v, hi = row[i] + 1, row[i - 1] if i else top
+                    while v <= hi and (counts[v] >= cap[v - 1] or v > 1 and counts[v - 1] <= counts[v]):
+                        v += 1
+                    if v <= hi:
+                        row[i] = v
+                        counts[v] += 1
+                        i += 1
+                        continue
+                    row[i] = floor[i]
+                i -= 1
+                if i >= 0:
+                    counts[row[i]] -= 1
+        frontier = reached
+    return frontier
+
+
+def enumerate_lr_tableaux(lam, mu, nu):
+    """All lattice semistandard fillings of lam/mu with content nu, in lex order of their word."""
+    if not contains(mu, lam) or lam.weight - mu.weight != nu.weight:
         return
     shape = SkewShape(lam, mu)
-    ip = mu.padded(lam.length)
-    order = [
-        (r, c)
-        for r, w in enumerate(lam.parts, start=1)
-        for c in range(w, ip[r - 1], -1)
-    ]
-    if not order:
-        yield LRTableau(shape, {})
-        return
-    k = nu.length
-    if k == 0:
-        return
-    nup = nu.parts
-    grid = {}
-    counts = [0] * (k + 1)
-    total = len(order)
-
-    def fill(idx):
-        if idx == total:
-            if prune_lattice or is_lattice_word([grid[cell] for cell in order]):
-                yield LRTableau(shape, grid)
-            return
-        r, c = order[idx]
-        hi = grid.get((r, c + 1), k)
-        lo = grid.get((r - 1, c), 0) + 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= nup[v - 1]:
-                continue
-            if prune_lattice and v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            grid[(r, c)] = v
-            counts[v] += 1
-            yield from fill(idx + 1)
-            counts[v] -= 1
-            del grid[(r, c)]
-
-    yield from fill(0)
+    cells = _reverse_reading_cells(lam, mu)
+    for _, _, word in _by_rows(lam, mu, nu.parts, True):
+        yield LRTableau(shape, zip(cells, word))
 
 
 def lr_tableau_count(lam, mu, nu):
     """Number of lattice semistandard fillings of lam/mu with content nu."""
-    return sum(1 for _ in enumerate_lr_tableaux(lam, mu, nu))
+    if not contains(mu, lam) or lam.weight - mu.weight != nu.weight:
+        return 0
+    return sum(_by_rows(lam, mu, nu.parts, False).values())
+
+
+def lr_expansion(lam, mu):
+    """{nu: number of LR fillings of lam/mu with content nu}, in one walk; mu inside lam."""
+    cap = (lam.weight,) * lam.length
+    return {Partition(content[1:]): n for (content, _, _), n in _by_rows(lam, mu, cap, False).items()}

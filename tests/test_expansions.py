@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrhive.expansions import (
     Expansion,
@@ -7,6 +8,7 @@ from lrhive.expansions import (
     product_expansion,
     skew_expansion,
 )
+from lrhive.hives import lr_coefficient_hive
 from lrhive.partitions import (
     Partition,
     bounded_partitions,
@@ -17,6 +19,7 @@ from lrhive.partitions import (
     subpartitions,
 )
 from lrhive.skew import SkewShape, parse_skew_shape
+from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
 S = parse_skew_shape
@@ -145,6 +148,43 @@ class TestEngineAgreement:
                     assert skew_expansion(s, method="hive") == skew_expansion(
                         s, method="tableau"
                     ), (lam, mu)
+
+    def test_products_through_mu_star_nu_3x3(self):
+        # the tableau method expands the skew shape mu*nu; weights reach 18 here
+        box = partitions_in_box(3, 3)
+        for mu in box:
+            for nu in box:
+                assert product_expansion(mu, nu, method="tableau") == product_expansion(
+                    mu, nu, method="hive"
+                ), (mu, nu)
+
+
+BOX_4X4 = partitions_in_box(4, 4)
+
+
+@st.composite
+def skew_shapes_4x4(draw):
+    lam = draw(st.sampled_from(BOX_4X4))
+    return SkewShape(lam, draw(st.sampled_from(list(subpartitions(lam)))))
+
+
+@st.composite
+def triples(draw):
+    shape = draw(skew_shapes_4x4())
+    nu = draw(st.sampled_from(list(bounded_partitions(shape.size, Partition([shape.size] * 4)))))
+    return shape.outer, shape.inner, nu
+
+
+class TestEngineProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(triples())
+    def test_hive_count_equals_tableau_count(self, triple):
+        assert lr_coefficient_hive(*triple) == lr_tableau_count(*triple)
+
+    @settings(deadline=None, max_examples=150)
+    @given(skew_shapes_4x4())
+    def test_skew_expansions_agree(self, shape):
+        assert skew_expansion(shape, "tableau") == skew_expansion(shape, "hive")
 
 
 class TestSymmetryTermByTerm:

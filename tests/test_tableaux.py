@@ -129,25 +129,45 @@ class TestInvariants:
         bad = LRTableau(t.shape, {**t.entries, (1, 3): 2})
         assert not is_valid_lr_tableau(bad, P("2,1"))
 
-    def test_lattice_pruning_does_not_change_counts(self):
-        # filter-at-leaves agrees with incremental pruning, |lam| <= 8
+    def test_merged_count_matches_enumeration(self):
+        # merging partial fillings on (content, carried row) agrees with keeping every word, |lam| <= 8
         for w in range(9):
             for lam in bounded_partitions(w):
                 for mu in subpartitions(lam):
                     for nu in bounded_partitions(w - mu.weight):
-                        pruned = sum(
-                            1 for _ in enumerate_lr_tableaux(lam, mu, nu, prune_lattice=True)
-                        )
-                        leaves = sum(
-                            1 for _ in enumerate_lr_tableaux(lam, mu, nu, prune_lattice=False)
-                        )
-                        assert pruned == leaves, (lam, mu, nu)
+                        assert lr_tableau_count(lam, mu, nu) == len(
+                            list(enumerate_lr_tableaux(lam, mu, nu))
+                        ), (lam, mu, nu)
 
     def test_deterministic_order(self):
         args = (P("4,3,2,1"), P("2,2"), P("3,2,1"))
         first = [t.entries for t in enumerate_lr_tableaux(*args)]
         second = [t.entries for t in enumerate_lr_tableaux(*args)]
         assert first == second
+
+    def test_order_pinned(self):
+        # lexicographic in the reverse reading word; the lists are written out so any change of order shows
+        assert [t.entries for t in enumerate_lr_tableaux(P("4,3,2,1"), P("2,2"), P("3,2,1"))] == [
+            {(1, 4): 1, (1, 3): 1, (2, 3): 2, (3, 2): 2, (3, 1): 1, (4, 1): 3},
+            {(1, 4): 1, (1, 3): 1, (2, 3): 2, (3, 2): 3, (3, 1): 1, (4, 1): 2},
+        ]
+        assert [
+            t.entries for t in enumerate_lr_tableaux(P("6,6,4,4,2,2"), P("3,3,3"), P("5,4,3,2,1"))
+        ] == [
+            {
+                (1, 6): 1, (1, 5): 1, (1, 4): 1, (2, 6): 2, (2, 5): 2, (2, 4): 2, (3, 4): 3, (4, 4): 4,
+                (4, 3): 3, (4, 2): 1, (4, 1): 1, (5, 2): 3, (5, 1): 2, (6, 2): 5, (6, 1): 4,
+            },
+            {
+                (1, 6): 1, (1, 5): 1, (1, 4): 1, (2, 6): 2, (2, 5): 2, (2, 4): 2, (3, 4): 3, (4, 4): 4,
+                (4, 3): 3, (4, 2): 1, (4, 1): 1, (5, 2): 4, (5, 1): 2, (6, 2): 5, (6, 1): 3,
+            },
+        ]
+
+    def test_deep_shapes_need_no_recursion(self):
+        for lam in (Partition([1200]), Partition([1] * 1200)):
+            assert lr_tableau_count(lam, Partition(), lam) == 1
+            assert len(list(enumerate_lr_tableaux(lam, Partition(), lam))) == 1
 
 
 class TestLatticeWord:
