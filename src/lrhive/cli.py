@@ -6,7 +6,7 @@ library, is a usage error: main prints it as one `error:` line on stderr and
 returns 2.  Output is plain text by default or JSON with --format json;
 identical invocations print identical bytes.  The environment variable
 HIVE_LR_MAX_WEIGHT (default 40) caps the total weight a single query may ask
-for.
+for, and the side of a `hives --n` triangle.
 
 Each command imports the parts of the library it uses when it runs, so that
 building the parser (and `lrhive --help`) loads none of them.
@@ -32,10 +32,10 @@ def _max_weight_cap():
         raise UsageError(f"HIVE_LR_MAX_WEIGHT must be an integer, got {raw!r}") from exc
 
 
-def _check_weight(weight):
+def _check_weight(weight, what="total weight"):
     cap = _max_weight_cap()
     if weight > cap:
-        raise UsageError(f"total weight {weight} exceeds HIVE_LR_MAX_WEIGHT = {cap}")
+        raise UsageError(f"{what} {weight} exceeds HIVE_LR_MAX_WEIGHT = {cap}")
 
 
 def _parse_params(text):
@@ -226,6 +226,8 @@ def _cmd_hives(args):
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     _check_weight(lam.weight)
+    if args.n is not None:
+        _check_weight(args.n, "hive side")
     n = args.n if args.n is not None else default_hive_side(lam, mu, nu)
     hives = enumerate_lr_hives(lam, mu, nu, n)
     payload = {

@@ -1,16 +1,16 @@
 """Schur product and skew expansions by either engine; the two must agree term by term.
 
-Tableaux expand a skew shape in one row-by-row walk, and s_mu s_nu as the
-skew shape mu*nu.  Hives count one coefficient per candidate term, and the
-candidates are generated only inside the LR support.
+Each engine expands in one row-by-row walk.  Tableaux fill a skew shape,
+and s_mu s_nu as the skew shape mu*nu.  Hives leave the side of the output
+partition free and walk it last, so the final states are the terms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .hives import lr_coefficient_hive
-from .partitions import Partition, bounded_partitions, contains
+from .hives import lr_coefficient_hive, lr_expansion_hive
+from .partitions import Partition, contains
 from .skew import SkewShape
 from .tableaux import lr_expansion, lr_tableau_count
 
@@ -84,45 +84,34 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _expand(weight, outer, inner, coefficient):
-    """Expansion over the partitions of `weight` between inner and outer."""
-    coeffs = {}
-    for p in bounded_partitions(weight, outer, inner):
-        c = coefficient(p)
-        if c:
-            coeffs[p] = c
-    return Expansion(coeffs)
-
-
 @lru_cache(maxsize=None)
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
     By tableaux: the skew shape mu*nu, outer (mu_i + nu_1, ..., nu) and inner
-    (nu_1^len(mu)).  By hives: lr_coefficient on each partition of |mu| + |nu|
-    containing both factors, inside the (mu_1 + nu_1) x (len(mu) + len(nu))
-    rectangle.  Cached because Expansion.multiply asks for the same pairs.
+    (nu_1^len(mu)).  By hives: one walk on the side len(mu) + len(nu), with
+    lambda free.  Cached because Expansion.multiply asks for the same pairs.
     """
     if method == "tableau":
         shift = nu.parts[0] if nu else 0
         outer = Partition([m + shift for m in mu.parts] + list(nu.parts))
         return Expansion(lr_expansion(outer, Partition([shift] * mu.length)))
-    n = mu.length + nu.length
-    outer = Partition([(mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)] * n)
-    inner = Partition(map(max, mu.padded(n), nu.padded(n)))
-    return _expand(mu.weight + nu.weight, outer, inner, lambda lam: lr_coefficient(lam, mu, nu, method))
+    if method == "hive":
+        return Expansion(lr_expansion_hive(None, mu, nu))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def skew_expansion(shape, method="hive"):
     """Expansion of the skew Schur function of the given shape.
 
-    By tableaux: one walk over the shape.  By hives: lr_coefficient on each
-    partition of the cell count contained in the outer partition.
+    By tableaux: one walk over the shape.  By hives: one walk on the side
+    len(outer) with the nu side free.
     """
     if method == "tableau":
         return Expansion(lr_expansion(shape.outer, shape.inner))
-    lam, mu = shape.outer, shape.inner
-    return _expand(shape.size, lam, None, lambda nu: lr_coefficient(lam, mu, nu, method))
+    if method == "hive":
+        return Expansion(lr_expansion_hive(shape.outer, shape.inner, None))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def duality_check(lam, mu, nu, method="hive"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, pairwise
 
 from .partitions import Partition
 
@@ -24,6 +24,10 @@ _SCAN_KEYS = {
     "anti-diagonal": lambda v: (v[0] + v[1], v[0]),
 }
 SCAN_ORDERS = tuple(_SCAN_KEYS)
+# Expansion plans also walk a free side, as the last row; each is (its index
+# in _sides, sort key): the lam side (column 0) by columns descending, or the
+# nu side (row 0) by rows descending.
+_FREE_SIDES = {"free-lam": (0, lambda v: (-v[1], v[0])), "free-nu": (1, lambda v: (-v[0], v[1]))}
 
 
 class Hive:
@@ -97,14 +101,6 @@ def _fill_boundary(vals, sides, lam, mu, nu):
             vals[v] = label
 
 
-def _interior_vertices(n, scan_order):
-    try:
-        key = _SCAN_KEYS[scan_order]
-    except KeyError:
-        raise ValueError(f"unknown scan order {scan_order!r}") from None
-    return sorted(((i, j) for i in range(1, n) for j in range(1, n - i)), key=key)
-
-
 def _rhombus_inequalities(n, vid):
     """All (p1, p2, m1, m2) with constraint a[p1] + a[p2] >= a[m1] + a[m2]."""
     ineqs = []
@@ -141,7 +137,7 @@ class _Plan:
     boundary_checks: tuple
     all_ineqs: tuple
     # One (steps, live) pair per row of the scan order: the row's steps, and
-    # the interior vertices assigned so far that a later row still reads.
+    # the walked vertices assigned so far that a later row still reads.
     rows: tuple
 
 
@@ -149,11 +145,11 @@ class _Plan:
 def _plan(n, scan_order):
     """Precompute the search schedule for side n under the given scan order.
 
-    For each interior vertex, collect every rhombus inequality whose other
-    three vertices come earlier (boundary vertices count as assigned), split
-    into lower/upper bounds on the vertex, plus single-vertex bounds implied
-    by the monotonicity of edge labels toward the boundary.  The steps are
-    then split into the scan order's rows, each with its outgoing frontier.
+    For each interior vertex, and each inner vertex of a free side, collect
+    every rhombus inequality whose other three vertices come earlier (fixed
+    boundary vertices count as assigned), split into lower/upper bounds on
+    the vertex, plus single-vertex bounds implied by the monotonicity of edge
+    labels toward the boundary.  The steps are then split into rows.
     """
     vid = {}
     k = 0
@@ -162,12 +158,18 @@ def _plan(n, scan_order):
             vid[(i, j)] = k
             k += 1
     size = k
-    interior = _interior_vertices(n, scan_order)
-    pos = {vid[p]: t for t, p in enumerate(interior)}
+    walked = [(i, j) for i in range(1, n) for j in range(1, n - i)]
+    if scan_order in _FREE_SIDES:
+        side, key = _FREE_SIDES[scan_order]
+        walked += _sides(n)[side][1:-1]
+    else:
+        key = _SCAN_KEYS[scan_order]
+    walked.sort(key=key)
+    pos = {vid[p]: t for t, p in enumerate(walked)}
 
     ineqs = _rhombus_inequalities(n, vid)
-    per_vertex_lower = {vid[p]: [] for p in interior}
-    per_vertex_upper = {vid[p]: [] for p in interior}
+    per_vertex_lower = {vid[p]: [] for p in walked}
+    per_vertex_upper = {vid[p]: [] for p in walked}
     boundary_checks = []
     for p1, p2, m1, m2 in ineqs:
         members = [v for v in (p1, p2, m1, m2) if v in pos]
@@ -184,34 +186,27 @@ def _plan(n, scan_order):
         else:
             per_vertex_upper[last].append((p1, p2, m1))
 
-    def earlier(u, v):
-        return u not in pos or pos[u] < pos[v]
+    def singles(v, points):  # those inside the triangle and assigned before v
+        ids = {vid[u] for u in points if u in vid}
+        return tuple(sorted(u for u in ids if u not in pos or pos[u] < pos[v]))
 
     steps = []
-    for (i, j) in interior:
+    for (i, j) in walked:
         v = vid[i, j]
-        lower = {vid[i, 0], vid[0, j], vid[0, i + j]}
-        upper = {vid[i, n - i], vid[n - j, j], vid[i + j, 0]}
-        for u in ((i, j - 1), (i - 1, j), (i - 1, j + 1)):
-            uv = vid[u]
-            if earlier(uv, v):
-                lower.add(uv)
-        for u in ((i, j + 1), (i + 1, j), (i + 1, j - 1)):
-            uv = vid[u]
-            if earlier(uv, v):
-                upper.add(uv)
+        # the row, column and diagonal ends toward the boundary, then the neighbours
+        lower = ((i, 0), (0, j), (0, i + j), (i, j - 1), (i - 1, j), (i - 1, j + 1))
+        upper = ((i, n - i), (n - j, j), (i + j, 0), (i, j + 1), (i + 1, j), (i + 1, j - 1))
         steps.append(
             _Step(
                 v,
-                tuple(sorted(lower)),
-                tuple(sorted(upper)),
+                singles(v, lower),
+                singles(v, upper),
                 tuple(per_vertex_lower[v]),
                 tuple(per_vertex_upper[v]),
             )
         )
 
-    row_of = _SCAN_KEYS[scan_order]
-    groups = [list(g) for _, g in groupby(zip(interior, steps), key=lambda ps: row_of(ps[0])[0])]
+    groups = [list(g) for _, g in groupby(zip(walked, steps), key=lambda ps: key(ps[0])[0])]
     rows = []
     later = set()  # vertices read by the rows after the current one
     for group in reversed(groups):
@@ -381,6 +376,8 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
     and the final keys are the hives; each is re-checked against every
     rhombus inequality.
     """
+    if scan_order not in _SCAN_KEYS:
+        raise ValueError(f"unknown scan order {scan_order!r}")
     if n is None:
         n = default_hive_side(lam, mu, nu)
     prepared = _prepare(lam, mu, nu, n, scan_order)
@@ -414,6 +411,31 @@ def lr_coefficient_hive(lam, mu, nu):
     if lam.length > mu.length + nu.length:
         return 0
     return _count_by_rows(lam, mu, nu, max(lam.length, mu.length, nu.length))
+
+
+def lr_expansion_hive(lam, mu, nu):
+    """{term: LR coefficient} for the side given as None, by one row walk.
+
+    lam=None expands s_mu s_nu on the side len mu + len nu; nu=None expands
+    s_{lam/mu} on the side len lam.  The free side's weight, as a one-row
+    partition, sets its corner labels.  The walk assigns the rest as its last
+    row and keys the final states on them, so each key holds the inner
+    partial sums of one term.
+    """
+    if lam is None:
+        free, n, lam = "free-lam", mu.length + nu.length, Partition([mu.weight + nu.weight])
+    else:
+        free, n, nu = "free-nu", lam.length, Partition([lam.weight - mu.weight])
+    prepared = _prepare(lam, mu, nu, n, free)
+    if prepared is None:
+        return {}
+    plan, vals = prepared
+    side = plan.sides[_FREE_SIDES[free][0]]
+    keys = [live for _, live in plan.rows[:-1]] + [side[1:-1]]
+    return {
+        Partition(b - a for a, b in pairwise((0, *labels, vals[side[-1]]))): c
+        for labels, c in _by_rows(plan, vals, lam.weight, keys).items()
+    }
 
 
 def is_valid_lr_hive(hive, boundary):

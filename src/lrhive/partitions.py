@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import index as _as_int
 
 
@@ -236,41 +236,39 @@ def shortness(p, m, n):
     return min(boundary_segments(p, m, n).segments)
 
 
-def _walk(cap, floor=(), weight=None):
-    """Parts tuples p with floor_i <= p_i <= cap_i, each prefix before its extensions.
+def _walk(cap, weight=None):
+    """Parts tuples p with 1 <= p_i <= cap_i, each prefix before its extensions.
 
     Larger parts come first, so partitions of one weight come out in
     decreasing lex order.  Without a weight every prefix comes out; with one,
     only the partitions of that weight, and a prefix is extended only while
-    the floors ahead fit in the weight left and the rows left can hold it.
+    the rows left can hold the weight left.
     The stack is explicit, so long partitions need no deep recursion.
     """
     rows = len(cap)
-    floor = tuple(floor) + (0,) * (rows + 1 - len(floor))
-    need = list(accumulate(reversed(floor)))[::-1]  # need[i] = sum(floor[i:])
     stack = [((), weight or 0)]
     while stack:
         prefix, left = stack.pop()
         i = len(prefix)
-        if weight is None or left == need[i] == 0:
+        if weight is None or left == 0:
             yield prefix
         if i == rows:
             continue
         hi = min(cap[i], prefix[-1]) if prefix else cap[i]
-        lo = max(floor[i], 1)
+        lo = 1
         if weight is not None:
-            hi = min(hi, left - need[i + 1])
+            hi = min(hi, left)
             lo = max(lo, -(-left // (rows - i)))  # ceil(left / rows left)
         stack.extend((prefix + (v,), left - v) for v in range(lo, hi + 1))
 
 
-def bounded_partitions(weight, outer=None, inner=None):
-    """Partitions of `weight` containing inner and contained in outer, in decreasing lex order.
+def bounded_partitions(weight, outer=None):
+    """Partitions of `weight` contained in outer, in decreasing lex order.
 
-    Without an outer bound every partition of `weight` containing inner comes out.
+    Without an outer bound every partition of `weight` comes out.
     """
     cap = (weight,) * weight if outer is None else outer.parts
-    for parts in _walk(cap, inner.parts if inner else (), weight):
+    for parts in _walk(cap, weight):
         yield Partition(parts)
 
 

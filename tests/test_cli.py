@@ -169,6 +169,12 @@ class TestHives:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"hives_321_21_21_dump.{suffix}").read_text()
 
+    def test_side_capped_by_weight_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("HIVE_LR_MAX_WEIGHT", "5")
+        argv = ("hives", "--lambda", "1", "--mu", "1", "--nu", "0", "--n")
+        assert run(capsys, *argv, "5") == (0, "1\n", "")
+        assert run(capsys, *argv, "6") == (2, "", "error: hive side 6 exceeds HIVE_LR_MAX_WEIGHT = 5\n")
+
 
 class TestVerify:
     def test_trivial_box(self, capsys):

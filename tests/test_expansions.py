@@ -187,6 +187,55 @@ class TestEngineProperties:
         assert skew_expansion(shape, "tableau") == skew_expansion(shape, "hive")
 
 
+def per_candidate(weight, rectangle, inside, count):
+    """The expansion one hive count at a time, over the partitions of weight in the rectangle."""
+    return Expansion({p: c for p in bounded_partitions(weight, rectangle) if inside(p) and (c := count(p))})
+
+
+def per_candidate_product(mu, nu):
+    width = (mu.parts[0] if mu else 0) + (nu.parts[0] if nu else 0)
+    return per_candidate(
+        mu.weight + nu.weight,
+        Partition([width] * (mu.length + nu.length)),
+        lambda lam: contains(mu, lam) and contains(nu, lam),
+        lambda lam: lr_coefficient_hive(lam, mu, nu),
+    )
+
+
+def per_candidate_skew(shape):
+    lam, mu = shape.outer, shape.inner
+    return per_candidate(
+        shape.size,
+        Partition([lam.parts[0] if lam else 0] * lam.length),
+        lambda nu: contains(nu, lam),
+        lambda nu: lr_coefficient_hive(lam, mu, nu),
+    )
+
+
+class TestHiveWalkAgainstPerCandidate:
+    """One hive walk with the output side free against one count per candidate term."""
+
+    def test_products_3x3(self):
+        box = partitions_in_box(3, 3)
+        for mu in box:
+            for nu in box:
+                assert product_expansion(mu, nu, "hive") == per_candidate_product(mu, nu), (mu, nu)
+
+    def test_skews_4x4(self):
+        shapes = 0
+        for lam in BOX_4X4:
+            for mu in subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                assert skew_expansion(shape, "hive") == per_candidate_skew(shape), shape
+                shapes += 1
+        assert shapes == 1764
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(BOX_4X4), st.sampled_from(BOX_4X4))
+    def test_random_products_4x4(self, mu, nu):
+        assert product_expansion(mu, nu, "hive") == per_candidate_product(mu, nu)
+
+
 class TestSymmetryTermByTerm:
     def test_commutativity_and_conjugation(self):
         from lrhive.partitions import conjugate
@@ -247,3 +296,5 @@ class TestDispatch:
             lr_coefficient(P("2"), P("1"), P("1"), method="magic")
         with pytest.raises(ValueError):
             product_expansion(P("1"), P("1"), method="magic")
+        with pytest.raises(ValueError):
+            skew_expansion(S("2,1/1"), method="magic")

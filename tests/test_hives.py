@@ -7,6 +7,7 @@ import pytest
 from lrhive.cli import main
 from lrhive.hives import (
     SCAN_ORDERS,
+    _FREE_SIDES,
     Hive,
     HiveBoundary,
     _check_plan,
@@ -18,6 +19,7 @@ from lrhive.hives import (
     free_interior_vertices,
     is_valid_lr_hive,
     lr_coefficient_hive,
+    lr_expansion_hive,
 )
 from lrhive.partitions import (
     Partition,
@@ -217,8 +219,10 @@ class TestScanOrder:
             assert set(row) == set(anti), (lam, mu, nu)
 
     def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_lr_hives(P("2,1"), P("1"), P("1,1"), 2, scan_order="spiral")
+        # the free-side plans serve expansions only; they are not scan orders
+        for scan_order in ("spiral", *_FREE_SIDES):
+            with pytest.raises(ValueError, match="unknown scan order"):
+                enumerate_lr_hives(P("2,1"), P("1"), P("1,1"), 2, scan_order=scan_order)
 
 
 class TestOracleAgreement:
@@ -312,6 +316,46 @@ class TestFrontierCount:
         assert (code, capsys.readouterr().out) == (0, "1\n")
 
 
+class TestFreeSideWalk:
+    """One walk with the output side free, on the sides where the plan is smallest."""
+
+    @pytest.mark.parametrize(
+        "mu, nu, terms",
+        [
+            ("0", "0", {(): 1}),
+            ("0", "3", {(3,): 1}),
+            ("3", "0", {(3,): 1}),
+            ("1", "1", {(2,): 1, (1, 1): 1}),
+            ("2", "1", {(3,): 1, (2, 1): 1}),
+        ],
+    )
+    def test_products_on_sides_0_to_2(self, mu, nu, terms):
+        assert {p.parts: c for p, c in lr_expansion_hive(None, P(mu), P(nu)).items()} == terms
+
+    @pytest.mark.parametrize(
+        "lam, mu, terms",
+        [
+            ("0", "0", {(): 1}),
+            ("3", "3", {(): 1}),
+            ("1", "0", {(1,): 1}),
+            ("2,1", "1", {(2,): 1, (1, 1): 1}),
+            ("2,2", "1", {(2, 1): 1}),
+        ],
+    )
+    def test_skews_on_sides_0_to_2(self, lam, mu, terms):
+        assert {p.parts: c for p, c in lr_expansion_hive(P(lam), P(mu), None).items()} == terms
+
+    def test_terms_match_counts_per_candidate(self):
+        # the product terms of the 3x3 box and the basic skew terms of the 4x4 box
+        expected = {}
+        for lam, mu, nu in product_triples(3, 3):
+            expected.setdefault((None, mu, nu), {})[lam] = lr_coefficient_hive(lam, mu, nu)
+        for lam, mu, nu in basic_skew_triples(4, 4):
+            expected.setdefault((lam, mu, None), {})[nu] = lr_coefficient_hive(lam, mu, nu)
+        for args, counts in expected.items():
+            assert lr_expansion_hive(*args) == {p: c for p, c in counts.items() if c}, args
+
+
 class TestBruteForce:
     """Enumeration against every interior labelling, filtered by validation alone."""
 
@@ -357,10 +401,17 @@ class TestBruteForce:
 
 
 class TestPlanCoverage:
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
     def test_holds_for_small_sides(self, scan_order):
         for n in range(1, 11):
             _check_plan(_plan(n, scan_order))
+
+    @pytest.mark.parametrize("free", _FREE_SIDES)
+    def test_free_side_is_the_last_row(self, free):
+        for n in range(2, 11):
+            plan = _plan(n, free)
+            side = plan.sides[_FREE_SIDES[free][0]][1:-1]
+            assert tuple(step.vid for step in plan.rows[-1][0]) == side
 
     def test_rejects_a_dropped_inequality(self):
         plan = _plan(5, "row-major")
