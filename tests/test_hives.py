@@ -345,16 +345,6 @@ class TestFreeSideWalk:
     def test_skews_on_sides_0_to_2(self, lam, mu, terms):
         assert {p.parts: c for p, c in lr_expansion_hive(P(lam), P(mu), None).items()} == terms
 
-    def test_terms_match_counts_per_candidate(self):
-        # the product terms of the 3x3 box and the basic skew terms of the 4x4 box
-        expected = {}
-        for lam, mu, nu in product_triples(3, 3):
-            expected.setdefault((None, mu, nu), {})[lam] = lr_coefficient_hive(lam, mu, nu)
-        for lam, mu, nu in basic_skew_triples(4, 4):
-            expected.setdefault((lam, mu, None), {})[nu] = lr_coefficient_hive(lam, mu, nu)
-        for args, counts in expected.items():
-            assert lr_expansion_hive(*args) == {p: c for p, c in counts.items() if c}, args
-
 
 class TestBruteForce:
     """Enumeration against every interior labelling, filtered by validation alone."""
