@@ -7,8 +7,6 @@ partition free and walk it last, so the final states are the terms.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .hives import lr_coefficient_hive, lr_expansion_hive
 from .partitions import Partition, contains
 from .skew import SkewShape
@@ -39,12 +37,12 @@ class Expansion:
     def max_multiplicity(self):
         return max(self._coeffs.values(), default=0)
 
-    def multiply(self, other, method="hive"):
-        """Coefficient-wise product: expand every pairwise Schur product."""
+    def multiply(self, other):
+        """Coefficient-wise product: one uncached hive walk per pair of terms."""
         total = {}
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():
-                for r, c in product_expansion(p, q, method=method).terms():
+                for r, c in product_expansion(p, q).terms():
                     total[r] = total.get(r, 0) + cp * cq * c
         return Expansion(total)
 
@@ -84,13 +82,12 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-@lru_cache(maxsize=None)
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
     By tableaux: the skew shape mu*nu, outer (mu_i + nu_1, ..., nu) and inner
     (nu_1^len(mu)).  By hives: one walk on the side len(mu) + len(nu), with
-    lambda free.  Cached because Expansion.multiply asks for the same pairs.
+    lambda free.  Not cached: every call walks again.
     """
     if method == "tableau":
         shift = nu.parts[0] if nu else 0
@@ -114,15 +111,15 @@ def skew_expansion(shape, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def duality_check(lam, mu, nu, method="hive"):
+def duality_check(lam, mu, nu):
     """The coefficient of nu in lam/mu equals the coefficient of lam in mu*nu.
 
-    Both sides are read off full expansions, so the two extraction routes are
-    genuinely independent; mismatched weights make both sides 0.
+    Both sides are read off full hive expansions (nu free, lambda free), so
+    the two routes are independent; mismatched weights make both sides 0.
     """
     if contains(mu, lam):
-        skew_side = skew_expansion(SkewShape(lam, mu), method=method)[nu]
+        skew_side = skew_expansion(SkewShape(lam, mu))[nu]
     else:
         skew_side = 0
-    product_side = product_expansion(mu, nu, method=method)[lam]
+    product_side = product_expansion(mu, nu)[lam]
     return skew_side == product_side

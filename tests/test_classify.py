@@ -68,6 +68,18 @@ def basic_skew_shapes_with_cells(max_cells):
     return shapes
 
 
+def star(theta, phi):
+    """The skew shape theta*phi, theta above and to the right of phi.
+
+    Its skew Schur function is s_theta s_phi (Macdonald, Symmetric
+    Functions, I.5), so one tableau walk expands the product.
+    """
+    shift = phi.outer.parts[0]
+    outer = [t + shift for t in theta.outer.parts] + list(phi.outer.parts)
+    inner = [t + shift for t in theta.inner.padded(theta.outer.length)] + list(phi.inner.parts)
+    return SkewShape(Partition(outer), Partition(inner))
+
+
 class TestStembridge:
     def test_not_free_example(self):
         v = stembridge_mf(P("2,1"), P("2,1"))
@@ -174,12 +186,20 @@ class TestSkewProduct:
                 assert pv.multiplicity_free == vv.multiplicity_free, (mu, nu)
                 assert {c[1] for c in pv.cases if c != "P0"} == {c[1] for c in vv.cases}
 
-    def test_consistency_small_exhaustive(self):
-        shapes = basic_skew_shapes_with_cells(5)
-        expansions = {s: skew_expansion(s) for s in shapes}
+    def test_star_shape_is_the_product(self):
+        # the identity the consistency tests below rely on, against the
+        # independent product: one hive walk per pair of terms
+        shapes = basic_skew_shapes_with_cells(4)
         for i, theta in enumerate(shapes):
             for phi in shapes[i:]:
-                free = expansions[theta].multiply(expansions[phi]).max_multiplicity() <= 1
+                product = skew_expansion(theta).multiply(skew_expansion(phi))
+                assert skew_expansion(star(theta, phi), method="tableau") == product, (theta, phi)
+
+    def test_consistency_small_exhaustive(self):
+        shapes = basic_skew_shapes_with_cells(5)
+        for i, theta in enumerate(shapes):
+            for phi in shapes[i:]:
+                free = skew_expansion(star(theta, phi), method="tableau").max_multiplicity() <= 1
                 assert skew_product_mf(theta, phi).multiplicity_free == free, (theta, phi)
 
     def test_consistency_sampled_to_8_cells(self):
@@ -187,7 +207,7 @@ class TestSkewProduct:
         rng = random.Random(5)
         for _ in range(300):
             theta, phi = rng.choice(shapes), rng.choice(shapes)
-            free = skew_expansion(theta).multiply(skew_expansion(phi)).max_multiplicity() <= 1
+            free = skew_expansion(star(theta, phi), method="tableau").max_multiplicity() <= 1
             assert skew_product_mf(theta, phi).multiplicity_free == free, (theta, phi)
 
 

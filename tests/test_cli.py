@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,22 @@ class TestVerify:
         report = verify_sweep("products", (2, 2))
         assert report.disagree == 0
         assert report.instances == 36  # six partitions in a 2x2 box, ordered pairs
+
+    def test_product_sweep_retains_no_expansions(self):
+        # the 2x2 sweep loads every module and builds the plans of sides up to
+        # 4, all the 5x2 box (two rows, parts up to 5) needs, so what the 5x2
+        # sweep keeps is its expansions; no other test sweeps that box
+        verify_sweep("products", (2, 2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify_sweep("products", (5, 2))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 200_000, retained
 
     def test_bad_box(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "products", "--box", "3by3")
