@@ -133,7 +133,6 @@ class _Plan:
     size: int
     vid: dict
     sides: tuple  # vertex ids of the lam, nu and mu sides, as _sides lists them
-    steps: tuple
     boundary_checks: tuple
     all_ineqs: tuple
     # One (steps, live) pair per row of the scan order: the row's steps, and
@@ -219,7 +218,7 @@ def _plan(n, scan_order):
     rows.reverse()
 
     sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
-    plan = _Plan(size, vid, sides, tuple(steps), tuple(boundary_checks), tuple(ineqs), tuple(rows))
+    plan = _Plan(size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows))
     _check_plan(plan)
     return plan
 
@@ -227,22 +226,24 @@ def _plan(n, scan_order):
 def _check_plan(plan):
     """Raise AssertionError unless the per-step bounds alone decide every hive.
 
-    The frontier count never re-checks a finished hive, so the schedule must
-    enforce every rhombus inequality exactly once, at its last vertex, and
-    each row may read only boundary labels, labels set earlier in the row and
-    the frontier carried in from the row before.
+    The schedule is the rows' steps, in order.  The frontier count never
+    re-checks a finished hive, so the schedule must enforce every rhombus
+    inequality exactly once, at its last vertex, and each row may read only
+    boundary labels, labels set earlier in the row and the frontier carried
+    in from the row before.
     """
 
     def key(p1, p2, m1, m2):
         return tuple(sorted((p1, p2))), tuple(sorted((m1, m2)))
 
-    pos = {step.vid: t for t, step in enumerate(plan.steps)}
+    steps = [step for row_steps, _ in plan.rows for step in row_steps]
+    pos = {step.vid: t for t, step in enumerate(steps)}
     enforced = Counter()
     for ineq in plan.boundary_checks:
         if any(v in pos for v in ineq):
             raise AssertionError(f"boundary check {ineq} reads an interior vertex")
         enforced[key(*ineq)] += 1
-    for t, step in enumerate(plan.steps):
+    for t, step in enumerate(steps):
         v = step.vid
         for x, y, z in step.lower_triples:
             enforced[key(v, z, x, y)] += 1
@@ -254,8 +255,6 @@ def _check_plan(plan):
     if enforced != wanted or any(c != 1 for c in wanted.values()):
         raise AssertionError("rhombus inequalities not enforced exactly once")
 
-    if tuple(step for row_steps, _ in plan.rows for step in row_steps) != plan.steps:
-        raise AssertionError("the rows do not split the steps in order")
     carried = ()
     for row_steps, live in plan.rows:
         known = set(carried)
@@ -283,41 +282,6 @@ def _prepare(lam, mu, nu, n, scan_order):
     return plan, vals
 
 
-def _walk(steps, vals, cap, leaf):
-    """Assign the steps' vertices in order, each over every value its bounds allow.
-
-    Calls leaf() once per complete assignment, with the labels in vals.
-    """
-    last = len(steps)
-
-    def rec(idx):
-        if idx == last:
-            leaf()
-            return
-        step = steps[idx]
-        lo, hi = 0, cap
-        for u in step.lower_singles:
-            if vals[u] > lo:
-                lo = vals[u]
-        for x, y, z in step.lower_triples:
-            b = vals[x] + vals[y] - vals[z]
-            if b > lo:
-                lo = b
-        for u in step.upper_singles:
-            if vals[u] < hi:
-                hi = vals[u]
-        for x, y, z in step.upper_triples:
-            b = vals[x] + vals[y] - vals[z]
-            if b < hi:
-                hi = b
-        v = step.vid
-        for val in range(lo, hi + 1):
-            vals[v] = val
-            rec(idx + 1)
-
-    rec(0)
-
-
 def _holds(plan, vals):
     """True iff the labels satisfy every rhombus inequality of the plan's side."""
     return all(vals[a] + vals[b] >= vals[c] + vals[d] for a, b, c, d in plan.all_ineqs)
@@ -326,23 +290,48 @@ def _holds(plan, vals):
 def _by_rows(plan, vals, cap, keys):
     """Walk the plan's rows in order; return {final key: partial hives reaching it}.
 
-    After row r a partial hive is identified by the labels of the vertices
-    keys[r], and partial hives with equal labels there are merged, their
-    numbers summed.  Each row is walked once per distinct key carried in.
+    A row's walk assigns its vertices in order, each over every value its
+    bounds allow, recursing once per vertex.  After row r a partial hive is
+    identified by the labels of the vertices keys[r], and partial hives with
+    equal labels there are merged, their numbers summed.  Each row is walked
+    once per distinct key carried in.
     """
     frontier = {(): 1}
     carried = ()
-
-    def leaf():
-        key = tuple([vals[u] for u in live])
-        reached[key] = reached.get(key, 0) + mult
-
     for (row_steps, _), live in zip(plan.rows, keys):
         reached = {}
+        last = len(row_steps)
+
+        def walk(idx):
+            if idx == last:
+                key = tuple([vals[u] for u in live])
+                reached[key] = reached.get(key, 0) + mult
+                return
+            step = row_steps[idx]
+            lo, hi = 0, cap
+            for u in step.lower_singles:
+                if vals[u] > lo:
+                    lo = vals[u]
+            for x, y, z in step.lower_triples:
+                b = vals[x] + vals[y] - vals[z]
+                if b > lo:
+                    lo = b
+            for u in step.upper_singles:
+                if vals[u] < hi:
+                    hi = vals[u]
+            for x, y, z in step.upper_triples:
+                b = vals[x] + vals[y] - vals[z]
+                if b < hi:
+                    hi = b
+            v = step.vid
+            for val in range(lo, hi + 1):
+                vals[v] = val
+                walk(idx + 1)
+
         for labels, mult in frontier.items():
             for u, label in zip(carried, labels):
                 vals[u] = label
-            _walk(row_steps, vals, cap, leaf)
+            walk(0)
         frontier = reached
         carried = live
     return frontier
@@ -385,7 +374,7 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
         return []
     plan, vals = prepared
     assigned = accumulate(tuple(step.vid for step in row_steps) for row_steps, _ in plan.rows)
-    interior = [step.vid for step in plan.steps]
+    interior = [step.vid for row_steps, _ in plan.rows for step in row_steps]
     vid = plan.vid
     hives = []
     for labels in _by_rows(plan, vals, lam.weight, assigned):

@@ -53,6 +53,8 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     expansion; a disagreement records the instance's key, then the cases
     that fired and the enumerated maximum multiplicity.
     """
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be non-negative, got {sample}")
     parts = partitions_in_box(*box)
     if family == "products":
         instances = [(mu, nu) for mu in parts for nu in parts]

@@ -405,12 +405,18 @@ class TestPlanCoverage:
 
     def test_rejects_a_dropped_inequality(self):
         plan = _plan(5, "row-major")
-        idx = next(t for t, step in enumerate(plan.steps) if step.lower_triples)
-        step = plan.steps[idx]
+        r, t = next(
+            (r, t)
+            for r, (row_steps, _) in enumerate(plan.rows)
+            for t, step in enumerate(row_steps)
+            if step.lower_triples
+        )
+        row_steps, live = plan.rows[r]
+        step = row_steps[t]
         weakened = dataclasses.replace(step, lower_triples=step.lower_triples[1:])
-        steps = plan.steps[:idx] + (weakened,) + plan.steps[idx + 1 :]
+        row = (row_steps[:t] + (weakened,) + row_steps[t + 1 :], live)
         with pytest.raises(AssertionError):
-            _check_plan(dataclasses.replace(plan, steps=steps))
+            _check_plan(dataclasses.replace(plan, rows=plan.rows[:r] + (row,) + plan.rows[r + 1 :]))
 
     def test_rejects_a_short_frontier(self):
         plan = _plan(5, "row-major")
