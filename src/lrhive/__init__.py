@@ -43,6 +43,7 @@ _EXPORTS = {
         "Partition",
         "SegmentSeq",
         "ShapeClass",
+        "WeightCapError",
         "add",
         "boundary_segments",
         "bounded_partitions",

@@ -5,8 +5,9 @@ ValueError a command raises, whether from its own argument checks or from the
 library, is a usage error: main prints it as one `error:` line on stderr and
 returns 2.  Output is plain text by default or JSON with --format json;
 identical invocations print identical bytes.  The environment variable
-HIVE_LR_MAX_WEIGHT (default 40) caps the total weight a single query may ask
-for, and the side of a `hives --n` triangle.
+HIVE_LR_MAX_WEIGHT (default 40) caps the weight of every partition argument,
+checked before the partition is built, the total weight a single query may
+ask for, and the side of a `hives --n` triangle.
 
 Each command imports the parts of the library it uses when it runs, so that
 building the parser (and `lrhive --help`) loads none of them.
@@ -36,6 +37,21 @@ def _check_weight(weight, what="total weight"):
     cap = _max_weight_cap()
     if weight > cap:
         raise UsageError(f"{what} {weight} exceeds HIVE_LR_MAX_WEIGHT = {cap}")
+
+
+def _parse(parse, text):
+    """Parse a partition or skew shape argument, capped by HIVE_LR_MAX_WEIGHT.
+
+    The parser weighs each partition before building it, so an argument like
+    1^1000000000 is refused without allocating its parts.
+    """
+    from .partitions import WeightCapError
+
+    cap = _max_weight_cap()
+    try:
+        return parse(text, max_weight=cap)
+    except WeightCapError as exc:
+        raise UsageError(f"total weight {exc.weight} exceeds HIVE_LR_MAX_WEIGHT = {cap}") from None
 
 
 def _parse_params(text):
@@ -87,15 +103,14 @@ def _query(args, kind):
     if kind == "product":
         from .partitions import parse_partition
 
-        mu = parse_partition(args.mu)
-        nu = parse_partition(args.nu)
+        mu = _parse(parse_partition, args.mu)
+        nu = _parse(parse_partition, args.nu)
         _check_weight(mu.weight + nu.weight)
         query = {"type": "product", "mu": list(mu.parts), "nu": list(nu.parts)}
         return (mu, nu), query, expansions.product_expansion, classify.stembridge_mf
     from .skew import parse_skew_shape
 
-    shape = parse_skew_shape(args.shape)
-    _check_weight(shape.outer.weight)
+    shape = _parse(parse_skew_shape, args.shape)
     query = {"type": "skew", "outer": list(shape.outer.parts), "inner": list(shape.inner.parts)}
     return (shape,), query, expansions.skew_expansion, classify.gty_mf
 
@@ -104,10 +119,9 @@ def _cmd_lrcoef(args):
     from .expansions import lr_coefficient
     from .partitions import parse_partition
 
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    _check_weight(lam.weight)
+    lam = _parse(parse_partition, args.lam)
+    mu = _parse(parse_partition, args.mu)
+    nu = _parse(parse_partition, args.nu)
     query = {"type": "lrcoef", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
     if args.method == "both":
         by_hive = lr_coefficient(lam, mu, nu, "hive")
@@ -222,10 +236,9 @@ def _cmd_hives(args):
     from .hives import default_hive_side, enumerate_lr_hives
     from .partitions import parse_partition
 
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    _check_weight(lam.weight)
+    lam = _parse(parse_partition, args.lam)
+    mu = _parse(parse_partition, args.mu)
+    nu = _parse(parse_partition, args.nu)
     if args.n is not None:
         _check_weight(args.n, "hive side")
     n = args.n if args.n is not None else default_hive_side(lam, mu, nu)

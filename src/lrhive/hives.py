@@ -11,7 +11,7 @@ inequalities need checking.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, groupby, pairwise
 
@@ -28,6 +28,10 @@ SCAN_ORDERS = tuple(_SCAN_KEYS)
 # in _sides, sort key): the lam side (column 0) by columns descending, or the
 # nu side (row 0) by rows descending.
 _FREE_SIDES = {"free-lam": (0, lambda v: (-v[1], v[0])), "free-nu": (1, lambda v: (-v[0], v[1]))}
+# The most steps in one walked row.  A compiled row nests one loop per step
+# inside its loop over the frontier, and CPython rejects more than 20
+# statically nested blocks.
+_ROW_LIMIT = 16
 
 
 class Hive:
@@ -138,6 +142,8 @@ class _Plan:
     # One (steps, live) pair per row of the scan order: the row's steps, and
     # the walked vertices assigned so far that a later row still reads.
     rows: tuple
+    # _by_rows's compiled rows, by (row index, carried key, row key).
+    walkers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +154,9 @@ def _plan(n, scan_order):
     every rhombus inequality whose other three vertices come earlier (fixed
     boundary vertices count as assigned), split into lower/upper bounds on
     the vertex, plus single-vertex bounds implied by the monotonicity of edge
-    labels toward the boundary.  The steps are then split into rows.
+    labels toward the boundary.  The steps are then split into the scan
+    order's rows, and a row longer than _ROW_LIMIT into consecutive segments,
+    each walked as a row of its own.
     """
     vid = {}
     k = 0
@@ -205,11 +213,13 @@ def _plan(n, scan_order):
             )
         )
 
-    groups = [list(g) for _, g in groupby(zip(walked, steps), key=lambda ps: key(ps[0])[0])]
+    segments = []
+    for _, group in groupby(zip(walked, steps), key=lambda ps: key(ps[0])[0]):
+        row_steps = tuple(step for _, step in group)
+        segments += (row_steps[t : t + _ROW_LIMIT] for t in range(0, len(row_steps), _ROW_LIMIT))
     rows = []
     later = set()  # vertices read by the rows after the current one
-    for group in reversed(groups):
-        row_steps = tuple(step for _, step in group)
+    for row_steps in reversed(segments):
         end = pos[row_steps[-1].vid]
         live = tuple(sorted(u for u in later if u in pos and pos[u] <= end))
         rows.append((row_steps, live))
@@ -287,53 +297,66 @@ def _holds(plan, vals):
     return all(vals[a] + vals[b] >= vals[c] + vals[d] for a, b, c, d in plan.all_ineqs)
 
 
+def _compile_row(row_steps, carried, key):
+    """One row's walk as a Python function: walk(frontier, vals, cap) -> reached.
+
+    The function reads the boundary labels of its bounds from vals once,
+    unpacks the carried labels from each frontier key, and nests one range
+    loop per step, in order, its bounds inlined.  The innermost loop adds
+    the frontier state's number under the key's labels.  The source holds
+    only vertex ids and fixed names.
+    """
+    assigned = [step.vid for step in row_steps]
+    known = {*carried, *assigned}
+    if not known.issuperset(key):
+        raise AssertionError(f"key {key} names a label the row neither carries nor assigns")
+
+    def labels(vids):  # a tuple display of the vertices' labels
+        return "(" + "".join(f"v{u}, " for u in vids) + ")"
+
+    reads = set().union(*(step.reads() for step in row_steps))
+    lines = ["def walk(frontier, vals, cap):"]
+    lines += [f"    v{u} = vals[{u}]" for u in sorted(reads - known)]
+    lines += ["    reached = {}", "    get = reached.get"]
+    lines.append(f"    for {labels(carried) if carried else '_'}, mult in frontier.items():")
+    indent = "        "
+    for step in row_steps:
+        lower = [f"v{u}" for u in step.lower_singles]
+        lower += [f"v{x} + v{y} - v{z}" for x, y, z in step.lower_triples]
+        upper = [f"v{u}" for u in step.upper_singles]
+        upper += [f"v{x} + v{y} - v{z}" for x, y, z in step.upper_triples]
+        lo = f"max(0, {', '.join(lower)})" if lower else "0"
+        hi = f"min(cap, {', '.join(upper)})" if upper else "cap"
+        lines.append(f"{indent}for v{step.vid} in range({lo}, {hi} + 1):")
+        indent += "    "
+    lines.append(f"{indent}k = {labels(key)}")
+    lines.append(f"{indent}reached[k] = get(k, 0) + mult")
+    lines.append("    return reached")
+    namespace = {}
+    exec(compile("\n".join(lines), "<hive row>", "exec"), namespace)
+    return namespace["walk"]
+
+
 def _by_rows(plan, vals, cap, keys):
     """Walk the plan's rows in order; return {final key: partial hives reaching it}.
 
-    A row's walk assigns its vertices in order, each over every value its
-    bounds allow, recursing once per vertex.  After row r a partial hive is
-    identified by the labels of the vertices keys[r], and partial hives with
-    equal labels there are merged, their numbers summed.  Each row is walked
-    once per distinct key carried in.
+    After row r a partial hive is identified by the labels of the vertices
+    keys[r], and partial hives with equal labels there are merged, their
+    numbers summed.  Each row runs as a function compiled from its steps
+    (_compile_row), a fixed nest of range loops, once per plan, carried key
+    and row key, and kept in the plan.  It walks every state carried in and
+    assigns the row's vertices in order, each over every value its bounds
+    allow.  No row has more than _ROW_LIMIT steps, which keeps its loops
+    within CPython's limit on nested blocks.
     """
     frontier = {(): 1}
     carried = ()
-    for (row_steps, _), live in zip(plan.rows, keys):
-        reached = {}
-        last = len(row_steps)
-
-        def walk(idx):
-            if idx == last:
-                key = tuple([vals[u] for u in live])
-                reached[key] = reached.get(key, 0) + mult
-                return
-            step = row_steps[idx]
-            lo, hi = 0, cap
-            for u in step.lower_singles:
-                if vals[u] > lo:
-                    lo = vals[u]
-            for x, y, z in step.lower_triples:
-                b = vals[x] + vals[y] - vals[z]
-                if b > lo:
-                    lo = b
-            for u in step.upper_singles:
-                if vals[u] < hi:
-                    hi = vals[u]
-            for x, y, z in step.upper_triples:
-                b = vals[x] + vals[y] - vals[z]
-                if b < hi:
-                    hi = b
-            v = step.vid
-            for val in range(lo, hi + 1):
-                vals[v] = val
-                walk(idx + 1)
-
-        for labels, mult in frontier.items():
-            for u, label in zip(carried, labels):
-                vals[u] = label
-            walk(0)
-        frontier = reached
-        carried = live
+    for r, key in enumerate(keys):
+        walk = plan.walkers.get((r, carried, key))
+        if walk is None:
+            walk = plan.walkers[r, carried, key] = _compile_row(plan.rows[r][0], carried, key)
+        frontier = walk(frontier, vals, cap)
+        carried = key
     return frontier
 
 
@@ -407,9 +430,10 @@ def lr_expansion_hive(lam, mu, nu):
 
     lam=None expands s_mu s_nu on the side len mu + len nu; nu=None expands
     s_{lam/mu} on the side len lam.  The free side's weight, as a one-row
-    partition, sets its corner labels.  The walk assigns the rest as its last
-    row and keys the final states on them, so each key holds the inner
-    partial sums of one term.
+    partition, sets its corner labels.  The walk assigns the rest last, in
+    one or more rows, and from the first of them on keys every state on the
+    free labels assigned so far as well as on its frontier, so each final key
+    holds the inner partial sums of one term.
     """
     if lam is None:
         free, n, lam = "free-lam", mu.length + nu.length, Partition([mu.weight + nu.weight])
@@ -420,7 +444,12 @@ def lr_expansion_hive(lam, mu, nu):
         return {}
     plan, vals = prepared
     side = plan.sides[_FREE_SIDES[free][0]]
-    keys = [live for _, live in plan.rows[:-1]] + [side[1:-1]]
+    inner = set(side[1:-1])
+    keys = []
+    done = ()  # the free labels assigned so far, in side order
+    for row_steps, live in plan.rows:
+        done += tuple(step.vid for step in row_steps if step.vid in inner)
+        keys.append(done + tuple(u for u in live if u not in inner))
     return {
         Partition(b - a for a, b in pairwise((0, *labels, vals[side[-1]]))): c
         for labels, c in _by_rows(plan, vals, lam.weight, keys).items()

@@ -87,17 +87,27 @@ class Partition:
 _TOKEN = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 
 
-def parse_partition(text):
+class WeightCapError(ValueError):
+    """The text names a partition heavier than parse_partition's max_weight."""
+
+    def __init__(self, weight, max_weight):
+        super().__init__(f"total weight {weight} exceeds {max_weight}")
+        self.weight = weight
+
+
+def parse_partition(text, max_weight=None):
     """Parse comma/space separated parts, with optional v^k exponent runs.
 
     "9^2,6^3" parses to (9,9,6,6,6); zeros are accepted anywhere the sequence
     stays weakly decreasing and are stripped from the result.  A zero run
     stands as one zero, which is enough to reject a nonzero part after it.
+    With max_weight given, a text whose runs weigh more raises WeightCapError
+    before any part is built, so a long run costs no memory.
     """
     text = text.strip()
     if text in ("", "0"):
         return Partition()
-    raw = []
+    runs = []
     for tok in re.split(r"[,\s]+", text):
         m = _TOKEN.match(tok)
         if m is None:
@@ -106,8 +116,11 @@ def parse_partition(text):
         k = int(m.group(2)) if m.group(2) is not None else 1
         if k < 1:
             raise ValueError(f"exponent must be positive in {tok!r}")
-        raw.extend([v] * (k if v else 1))
-    return Partition(raw)
+        runs.append((v, k if v else 1))
+    weight = sum(v * k for v, k in runs)
+    if max_weight is not None and weight > max_weight:
+        raise WeightCapError(weight, max_weight)
+    return Partition(v for v, k in runs for _ in range(k))
 
 
 def format_partition(p):

@@ -116,12 +116,15 @@ class SkewShape:
         return format_skew_shape(self)
 
 
-def parse_skew_shape(text):
-    """Parse "OUTER/INNER" (or bare "OUTER") with partition syntax on each side."""
+def parse_skew_shape(text, max_weight=None):
+    """Parse "OUTER/INNER" (or bare "OUTER") with partition syntax on each side.
+
+    max_weight caps each side as parse_partition does.
+    """
     if "/" in text:
-        outer_text, _, inner_text = text.partition("/")
-        return SkewShape(parse_partition(outer_text), parse_partition(inner_text))
-    return SkewShape(parse_partition(text))
+        outer, _, inner = text.partition("/")
+        return SkewShape(parse_partition(outer, max_weight), parse_partition(inner, max_weight))
+    return SkewShape(parse_partition(text, max_weight))
 
 
 def format_skew_shape(s):

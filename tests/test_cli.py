@@ -283,6 +283,19 @@ class TestDeterminismAndLimits:
         assert code == 2
         assert "HIVE_LR_MAX_WEIGHT" in err
 
+    def test_long_run_over_cap_is_never_built(self, capsys, monkeypatch):
+        monkeypatch.delenv("HIVE_LR_MAX_WEIGHT", raising=False)
+        argv = ["lrcoef", "--lambda", "2", "--mu", "1^2000000", "--nu", "1"]
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: total weight 2000000 exceeds HIVE_LR_MAX_WEIGHT = 40\n")
+        # building the run would take 16 MB for its list alone
+        assert peak < 1_000_000
+
     def test_default_cap_allows_paper_examples(self, capsys):
         code, _, _ = run(capsys, "mf", "skew", "--shape", "9^2,6^3/5^2,2")
         assert code == 0

@@ -5,9 +5,12 @@ import random
 import pytest
 
 from lrhive.cli import main
+from lrhive.expansions import product_expansion, skew_expansion
 from lrhive.hives import (
     SCAN_ORDERS,
     _FREE_SIDES,
+    _ROW_LIMIT,
+    _SCAN_KEYS,
     Hive,
     HiveBoundary,
     _check_plan,
@@ -153,6 +156,16 @@ class TestEnumeration:
             tuple(h.rows[i][j] for i in range(1, 4) for j in range(1, 4 - i)) for h in hives
         ]
         assert interiors == sorted(interiors)
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_lexicographic_across_segments(self, scan_order):
+        # on side 19 the longest row (or anti-diagonal) has 17 vertices, walked as two segments
+        n = 19
+        assert max(len(row_steps) for row_steps, _ in _plan(n, scan_order).rows) == _ROW_LIMIT
+        hives = enumerate_lr_hives(P("4,3,2,1"), P("2,2"), P("3,2,1"), n, scan_order=scan_order)
+        interior = sorted(((i, j) for i in range(1, n) for j in range(1, n - i)), key=_SCAN_KEYS[scan_order])
+        interiors = [tuple(h.rows[i][j] for i, j in interior) for h in hives]
+        assert len(interiors) == 2 and interiors == sorted(interiors)
 
 
 class TestCoefficient:
@@ -345,6 +358,19 @@ class TestFreeSideWalk:
     def test_skews_on_sides_0_to_2(self, lam, mu, terms):
         assert {p.parts: c for p, c in lr_expansion_hive(P(lam), P(mu), None).items()} == terms
 
+    # Free sides of 17 or more inner vertices, walked as two segments, against the tableau rule.
+    @pytest.mark.parametrize("mu, nu", [("1^9", "1^9"), ("2^9", "1^10"), ("3^5,1^5", "2^8")])
+    def test_products_past_one_segment(self, mu, nu):
+        mu, nu = P(mu), P(nu)
+        assert mu.length + nu.length - 1 > _ROW_LIMIT
+        assert product_expansion(mu, nu, "hive") == product_expansion(mu, nu, "tableau")
+
+    @pytest.mark.parametrize("lam, mu", [("1^18", "1^9"), ("2^18", "1^9"), ("3^6,2^6,1^6", "1^4")])
+    def test_skews_past_one_segment(self, lam, mu):
+        shape = SkewShape(P(lam), P(mu))
+        assert shape.outer.length - 1 > _ROW_LIMIT
+        assert skew_expansion(shape, "hive") == skew_expansion(shape, "tableau")
+
 
 class TestBruteForce:
     """Enumeration against every interior labelling, filtered by validation alone."""
@@ -402,6 +428,13 @@ class TestPlanCoverage:
             plan = _plan(n, free)
             side = plan.sides[_FREE_SIDES[free][0]][1:-1]
             assert tuple(step.vid for step in plan.rows[-1][0]) == side
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
+    def test_segments_for_sides_1_to_24(self, scan_order):
+        for n in range(1, 25):
+            plan = _plan(n, scan_order)
+            _check_plan(plan)
+            assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
 
     def test_rejects_a_dropped_inequality(self):
         plan = _plan(5, "row-major")

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from lrhive.partitions import (
     Partition,
+    WeightCapError,
     add,
     boundary_segments,
     bounded_partitions,
@@ -66,6 +67,16 @@ class TestParse:
             P("0^5,1")
         with pytest.raises(ValueError, match="got 0 before 1"):
             P("0^1000000000,1")
+
+    def test_max_weight(self):
+        assert P("9^2,6^3", max_weight=36) == P("9^2,6^3")
+        assert P("5,0^1000000000", max_weight=5) == Partition([5])
+        with pytest.raises(WeightCapError, match="^total weight 37 exceeds 36$") as exc:
+            P("9^2,6^3,1", max_weight=36)
+        assert exc.value.weight == 37
+        with pytest.raises(WeightCapError) as exc:
+            P("1^1000000000", max_weight=40)
+        assert exc.value.weight == 10**9
 
     def test_space_separated(self):
         assert P("4 3 2 1").parts == (4, 3, 2, 1)
