@@ -115,14 +115,19 @@ def _query(args, kind):
     return (shape,), query, expansions.skew_expansion, classify.gty_mf
 
 
-def _cmd_lrcoef(args):
-    from .expansions import lr_coefficient
+def _lr_query(args):
+    """Parse --lambda, --mu and --nu; returns them and the command's JSON `query`."""
     from .partitions import parse_partition
 
-    lam = _parse(parse_partition, args.lam)
-    mu = _parse(parse_partition, args.mu)
-    nu = _parse(parse_partition, args.nu)
-    query = {"type": "lrcoef", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
+    lam, mu, nu = (_parse(parse_partition, text) for text in (args.lam, args.mu, args.nu))
+    query = {"type": args.command, "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
+    return lam, mu, nu, query
+
+
+def _cmd_lrcoef(args):
+    from .expansions import lr_coefficient
+
+    lam, mu, nu, query = _lr_query(args)
     if args.method == "both":
         by_hive = lr_coefficient(lam, mu, nu, "hive")
         by_tableau = lr_coefficient(lam, mu, nu, "tableau")
@@ -234,20 +239,13 @@ def _cmd_witness(args):
 
 def _cmd_hives(args):
     from .hives import default_hive_side, enumerate_lr_hives
-    from .partitions import parse_partition
 
-    lam = _parse(parse_partition, args.lam)
-    mu = _parse(parse_partition, args.mu)
-    nu = _parse(parse_partition, args.nu)
+    lam, mu, nu, query = _lr_query(args)
     if args.n is not None:
         _check_weight(args.n, "hive side")
     n = args.n if args.n is not None else default_hive_side(lam, mu, nu)
     hives = enumerate_lr_hives(lam, mu, nu, n)
-    payload = {
-        "query": {"type": "hives", "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)},
-        "n": n,
-        "count": len(hives),
-    }
+    payload = {"query": query, "n": n, "count": len(hives)}
     lines = [str(len(hives))]
     if args.dump:
         payload["hives"] = [h.diagonals() for h in hives]

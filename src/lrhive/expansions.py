@@ -31,9 +31,6 @@ class Expansion:
         """(partition, coefficient) pairs in decreasing lexicographic order."""
         return sorted(self._coeffs.items(), key=lambda t: t[0].parts, reverse=True)
 
-    def as_dict(self):
-        return dict(self._coeffs)
-
     def max_multiplicity(self):
         return max(self._coeffs.values(), default=0)
 

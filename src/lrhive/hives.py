@@ -11,7 +11,7 @@ inequalities need checking.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, groupby, pairwise
 
@@ -134,20 +134,21 @@ class _Step:
 
 @dataclass(frozen=True)
 class _Plan:
+    scan_order: str
+    keep: bool
     size: int
     vid: dict
     sides: tuple  # vertex ids of the lam, nu and mu sides, as _sides lists them
     boundary_checks: tuple
     all_ineqs: tuple
-    # One (steps, live) pair per row of the scan order: the row's steps, and
-    # the walked vertices assigned so far that a later row still reads.
+    # One (steps, key) pair per walked row: the row's steps, and the vertices
+    # whose labels identify a partial hive after it.
     rows: tuple
-    # _by_rows's compiled rows, by (row index, carried key, row key).
-    walkers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    walkers: tuple  # each row compiled by _compile_row, in order
 
 
 @lru_cache(maxsize=None)
-def _plan(n, scan_order):
+def _plan(n, scan_order, keep=False):
     """Precompute the search schedule for side n under the given scan order.
 
     For each interior vertex, and each inner vertex of a free side, collect
@@ -157,6 +158,11 @@ def _plan(n, scan_order):
     labels toward the boundary.  The steps are then split into the scan
     order's rows, and a row longer than _ROW_LIMIT into consecutive segments,
     each walked as a row of its own.
+
+    Each row's key is the frontier, the labels later rows still read; on a
+    free side it is led by the free labels assigned so far, in side order,
+    and with keep it is every label assigned so far, so nothing merges.
+    Every row is compiled once, here.
     """
     vid = {}
     k = 0
@@ -217,18 +223,27 @@ def _plan(n, scan_order):
     for _, group in groupby(zip(walked, steps), key=lambda ps: key(ps[0])[0]):
         row_steps = tuple(step for _, step in group)
         segments += (row_steps[t : t + _ROW_LIMIT] for t in range(0, len(row_steps), _ROW_LIMIT))
-    rows = []
+    frontiers = []
     later = set()  # vertices read by the rows after the current one
     for row_steps in reversed(segments):
         end = pos[row_steps[-1].vid]
-        live = tuple(sorted(u for u in later if u in pos and pos[u] <= end))
-        rows.append((row_steps, live))
+        frontiers.append(tuple(sorted(u for u in later if u in pos and pos[u] <= end)))
         for step in row_steps:
             later |= step.reads()
-    rows.reverse()
+    free = {vid[p] for p in _sides(n)[_FREE_SIDES[scan_order][0]]} if scan_order in _FREE_SIDES else ()
+    rows, walkers = [], []
+    carried = done = ()  # done: the labels every later key leads with
+    for row_steps, frontier in zip(segments, reversed(frontiers)):
+        done += tuple(step.vid for step in row_steps if keep or step.vid in free)
+        key = done + tuple(u for u in frontier if u not in done)
+        rows.append((row_steps, key))
+        walkers.append(_compile_row(row_steps, carried, key))
+        carried = key
 
     sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
-    plan = _Plan(size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows))
+    plan = _Plan(
+        scan_order, keep, size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows), tuple(walkers)
+    )
     _check_plan(plan)
     return plan
 
@@ -238,9 +253,12 @@ def _check_plan(plan):
 
     The schedule is the rows' steps, in order.  The frontier count never
     re-checks a finished hive, so the schedule must enforce every rhombus
-    inequality exactly once, at its last vertex, and each row may read only
-    boundary labels, labels set earlier in the row and the frontier carried
-    in from the row before.
+    inequality exactly once, at its last vertex.  Each row may read only
+    boundary labels, labels set earlier in the row and the key carried in
+    from the row before, and its own key only labels it carries or sets.  The
+    last key holds exactly the labels the result is read from: none for a
+    count, the free side's inner labels in side order for an expansion, and
+    every walked label, in order, with keep.
     """
 
     def key(p1, p2, m1, m2):
@@ -266,30 +284,23 @@ def _check_plan(plan):
         raise AssertionError("rhombus inequalities not enforced exactly once")
 
     carried = ()
-    for row_steps, live in plan.rows:
+    for row_steps, key in plan.rows:
         known = set(carried)
         for step in row_steps:
             if any(u in pos and u not in known for u in step.reads()):
-                raise AssertionError(f"vertex {step.vid} reads a label outside its frontier")
+                raise AssertionError(f"vertex {step.vid} reads a label outside its carried key")
             known.add(step.vid)
-        carried = live
-    if carried:
-        raise AssertionError("the last row leaves a frontier")
-
-
-def _prepare(lam, mu, nu, n, scan_order):
-    """The plan and the boundary-filled labels, or None when no hive exists."""
-    if max(lam.length, mu.length, nu.length) > n:
-        raise ValueError("partition lengths must not exceed n")
-    if lam.weight != mu.weight + nu.weight:
-        return None
-    plan = _plan(n, scan_order)
-    vals = [0] * plan.size
-    _fill_boundary(vals, plan.sides, lam, mu, nu)
-    for a, b, c, d in plan.boundary_checks:
-        if vals[a] + vals[b] < vals[c] + vals[d]:
-            return None
-    return plan, vals
+        if not known.issuperset(key):
+            raise AssertionError(f"key {key} names a label the row neither carries nor assigns")
+        carried = key
+    if plan.keep:
+        result = tuple(step.vid for step in steps)
+    elif plan.scan_order in _FREE_SIDES:
+        result = plan.sides[_FREE_SIDES[plan.scan_order][0]][1:-1]
+    else:
+        result = ()
+    if carried != result:
+        raise AssertionError(f"the last key {carried} is not the result's labels {result}")
 
 
 def _holds(plan, vals):
@@ -306,10 +317,7 @@ def _compile_row(row_steps, carried, key):
     the frontier state's number under the key's labels.  The source holds
     only vertex ids and fixed names.
     """
-    assigned = [step.vid for step in row_steps]
-    known = {*carried, *assigned}
-    if not known.issuperset(key):
-        raise AssertionError(f"key {key} names a label the row neither carries nor assigns")
+    known = {*carried, *(step.vid for step in row_steps)}
 
     def labels(vids):  # a tuple display of the vertices' labels
         return "(" + "".join(f"v{u}, " for u in vids) + ")"
@@ -337,27 +345,30 @@ def _compile_row(row_steps, carried, key):
     return namespace["walk"]
 
 
-def _by_rows(plan, vals, cap, keys):
-    """Walk the plan's rows in order; return {final key: partial hives reaching it}.
+def _by_rows(lam, mu, nu, n, scan_order, keep=False):
+    """Walk the (lam, mu, nu) boundary's plan row by row.
 
-    After row r a partial hive is identified by the labels of the vertices
-    keys[r], and partial hives with equal labels there are merged, their
-    numbers summed.  Each row runs as a function compiled from its steps
-    (_compile_row), a fixed nest of range loops, once per plan, carried key
-    and row key, and kept in the plan.  It walks every state carried in and
-    assigns the row's vertices in order, each over every value its bounds
-    allow.  No row has more than _ROW_LIMIT steps, which keeps its loops
-    within CPython's limit on nested blocks.
+    Returns (plan, vals, {final key: partial hives reaching it}), vals
+    holding the boundary labels, or None when no hive exists.  After each
+    row a partial hive is identified by the labels of the row's key, and
+    partial hives with equal labels there are merged, their numbers summed.
+    Each row runs as the function the plan compiled from its steps, a fixed
+    nest of range loops: it walks every state carried in and assigns the
+    row's vertices in order, each over every value its bounds allow.
     """
+    if max(lam.length, mu.length, nu.length) > n:
+        raise ValueError("partition lengths must not exceed n")
+    if lam.weight != mu.weight + nu.weight:
+        return None
+    plan = _plan(n, scan_order, keep)
+    vals = [0] * plan.size
+    _fill_boundary(vals, plan.sides, lam, mu, nu)
+    if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in plan.boundary_checks):
+        return None
     frontier = {(): 1}
-    carried = ()
-    for r, key in enumerate(keys):
-        walk = plan.walkers.get((r, carried, key))
-        if walk is None:
-            walk = plan.walkers[r, carried, key] = _compile_row(plan.rows[r][0], carried, key)
-        frontier = walk(frontier, vals, cap)
-        carried = key
-    return frontier
+    for walk in plan.walkers:
+        frontier = walk(frontier, vals, lam.weight)
+    return plan, vals, frontier
 
 
 def _count_by_rows(lam, mu, nu, n):
@@ -367,11 +378,8 @@ def _count_by_rows(lam, mu, nu, n):
     read) have the same completions, so they merge on it; the last row
     leaves an empty frontier, reached once per hive.
     """
-    prepared = _prepare(lam, mu, nu, n, "row-major")
-    if prepared is None:
-        return 0
-    plan, vals = prepared
-    return _by_rows(plan, vals, lam.weight, [live for _, live in plan.rows]).get((), 0)
+    walked = _by_rows(lam, mu, nu, n, "row-major")
+    return 0 if walked is None else walked[2].get((), 0)
 
 
 def default_hive_side(lam, mu, nu):
@@ -392,15 +400,14 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
         raise ValueError(f"unknown scan order {scan_order!r}")
     if n is None:
         n = default_hive_side(lam, mu, nu)
-    prepared = _prepare(lam, mu, nu, n, scan_order)
-    if prepared is None:
+    walked = _by_rows(lam, mu, nu, n, scan_order, keep=True)
+    if walked is None:
         return []
-    plan, vals = prepared
-    assigned = accumulate(tuple(step.vid for step in row_steps) for row_steps, _ in plan.rows)
-    interior = [step.vid for row_steps, _ in plan.rows for step in row_steps]
+    plan, vals, reached = walked
+    interior = plan.rows[-1][1] if plan.rows else ()  # the last key
     vid = plan.vid
     hives = []
-    for labels in _by_rows(plan, vals, lam.weight, assigned):
+    for labels in reached:
         for u, label in zip(interior, labels):
             vals[u] = label
         if _holds(plan, vals):
@@ -431,29 +438,20 @@ def lr_expansion_hive(lam, mu, nu):
     lam=None expands s_mu s_nu on the side len mu + len nu; nu=None expands
     s_{lam/mu} on the side len lam.  The free side's weight, as a one-row
     partition, sets its corner labels.  The walk assigns the rest last, in
-    one or more rows, and from the first of them on keys every state on the
-    free labels assigned so far as well as on its frontier, so each final key
-    holds the inner partial sums of one term.
+    one or more rows, and the plan leads every key from the first of them on
+    with the free labels assigned so far, so each final key holds the inner
+    partial sums of one term.
     """
     if lam is None:
         free, n, lam = "free-lam", mu.length + nu.length, Partition([mu.weight + nu.weight])
     else:
         free, n, nu = "free-nu", lam.length, Partition([lam.weight - mu.weight])
-    prepared = _prepare(lam, mu, nu, n, free)
-    if prepared is None:
+    walked = _by_rows(lam, mu, nu, n, free)
+    if walked is None:
         return {}
-    plan, vals = prepared
-    side = plan.sides[_FREE_SIDES[free][0]]
-    inner = set(side[1:-1])
-    keys = []
-    done = ()  # the free labels assigned so far, in side order
-    for row_steps, live in plan.rows:
-        done += tuple(step.vid for step in row_steps if step.vid in inner)
-        keys.append(done + tuple(u for u in live if u not in inner))
-    return {
-        Partition(b - a for a, b in pairwise((0, *labels, vals[side[-1]]))): c
-        for labels, c in _by_rows(plan, vals, lam.weight, keys).items()
-    }
+    plan, vals, reached = walked
+    top = vals[plan.sides[_FREE_SIDES[free][0]][-1]]
+    return {Partition(b - a for a, b in pairwise((0, *labels, top))): c for labels, c in reached.items()}
 
 
 def is_valid_lr_hive(hive, boundary):
@@ -463,7 +461,7 @@ def is_valid_lr_hive(hive, boundary):
     for (i, j), label in boundary.vertex_labels().items():
         if hive.rows[i][j] != label:
             return False
-    plan = _plan(hive.n, "row-major")
+    plan = _plan(hive.n, "row-major", False)  # as _by_rows asks for it, so the cache shares it
     flat = [0] * plan.size
     for (i, j), v in plan.vid.items():
         flat[v] = hive.rows[i][j]

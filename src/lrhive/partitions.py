@@ -49,9 +49,6 @@ class Partition:
             raise ValueError(f"cannot pad length-{len(self.parts)} partition to {n}")
         return self.parts + (0,) * (n - len(self.parts))
 
-    def conjugate(self):
-        return conjugate(self)
-
     def __bool__(self):
         return bool(self.parts)
 
@@ -63,11 +60,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __add__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return add(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

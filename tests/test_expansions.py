@@ -246,7 +246,7 @@ class TestSymmetryTermByTerm:
                 e = product_expansion(mu, nu)
                 assert e == product_expansion(nu, mu)
                 conj = product_expansion(conjugate(mu), conjugate(nu))
-                assert {conjugate(p): c for p, c in e.terms()} == conj.as_dict()
+                assert {conjugate(p): c for p, c in e.terms()} == dict(conj.terms())
 
 
 class TestSupportConstraints:

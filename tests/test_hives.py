@@ -436,24 +436,59 @@ class TestPlanCoverage:
             _check_plan(plan)
             assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
 
+    # Every kind of plan the engine walks: the count's, both enumeration
+    # orders' and both free sides'.
+    PLAN_KINDS = (
+        ("row-major", False),
+        ("row-major", True),
+        ("anti-diagonal", True),
+        *((free, False) for free in _FREE_SIDES),
+    )
+
+    @staticmethod
+    def with_row(plan, r, row):
+        return dataclasses.replace(plan, rows=plan.rows[:r] + (row,) + plan.rows[r + 1 :])
+
     def test_rejects_a_dropped_inequality(self):
-        plan = _plan(5, "row-major")
-        r, t = next(
-            (r, t)
-            for r, (row_steps, _) in enumerate(plan.rows)
-            for t, step in enumerate(row_steps)
-            if step.lower_triples
-        )
-        row_steps, live = plan.rows[r]
-        step = row_steps[t]
-        weakened = dataclasses.replace(step, lower_triples=step.lower_triples[1:])
-        row = (row_steps[:t] + (weakened,) + row_steps[t + 1 :], live)
-        with pytest.raises(AssertionError):
-            _check_plan(dataclasses.replace(plan, rows=plan.rows[:r] + (row,) + plan.rows[r + 1 :]))
+        for scan_order, keep in self.PLAN_KINDS:
+            plan = _plan(5, scan_order, keep)
+            r, t = next(
+                (r, t)
+                for r, (row_steps, _) in enumerate(plan.rows)
+                for t, step in enumerate(row_steps)
+                if step.lower_triples
+            )
+            row_steps, key = plan.rows[r]
+            step = row_steps[t]
+            weakened = dataclasses.replace(step, lower_triples=step.lower_triples[1:])
+            row = (row_steps[:t] + (weakened,) + row_steps[t + 1 :], key)
+            with pytest.raises(AssertionError):
+                _check_plan(self.with_row(plan, r, row))
 
     def test_rejects_a_short_frontier(self):
-        plan = _plan(5, "row-major")
-        (first, live), *rest = plan.rows
-        rows = ((first, live[1:]), *rest)
-        with pytest.raises(AssertionError):
-            _check_plan(dataclasses.replace(plan, rows=rows))
+        for scan_order, keep in self.PLAN_KINDS:
+            plan = _plan(5, scan_order, keep)
+            _check_plan(plan)
+            # a key without a label the next row reads
+            r, u = next(
+                (r, u)
+                for r, ((_, key), (next_steps, _)) in enumerate(itertools.pairwise(plan.rows))
+                for u in key
+                if any(u in step.reads() for step in next_steps)
+            )
+            row_steps, key = plan.rows[r]
+            with pytest.raises(AssertionError):
+                _check_plan(self.with_row(plan, r, (row_steps, tuple(v for v in key if v != u))))
+            # the last key short of a label the result is read from, or, for a
+            # count, holding one
+            row_steps, key = plan.rows[-1]
+            wrong = key[:-1] if key else (row_steps[-1].vid,)
+            with pytest.raises(AssertionError):
+                _check_plan(self.with_row(plan, len(plan.rows) - 1, (row_steps, wrong)))
+
+    def test_rejects_a_key_ahead_of_its_row(self):
+        for scan_order, keep in self.PLAN_KINDS:
+            plan = _plan(5, scan_order, keep)
+            (first, key), (second, _) = plan.rows[:2]
+            with pytest.raises(AssertionError):
+                _check_plan(self.with_row(plan, 0, (first, key + (second[-1].vid,))))
