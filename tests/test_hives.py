@@ -15,6 +15,7 @@ from lrhive.hives import (
     HiveBoundary,
     _check_plan,
     _count_by_rows,
+    _fill_boundary,
     _plan,
     default_hive_side,
     edge_labels,
@@ -81,6 +82,16 @@ def basic_skew_triples(m, n):
 
 def tight_side(lam, mu, nu):
     return max(lam.length, mu.length, nu.length)
+
+
+# Every kind of plan the engine walks: the count's, both enumeration orders'
+# and both free sides'.
+PLAN_KINDS = (
+    ("row-major", False),
+    ("row-major", True),
+    ("anti-diagonal", True),
+    *((free, False) for free in _FREE_SIDES),
+)
 
 
 class TestValidation:
@@ -436,21 +447,12 @@ class TestPlanCoverage:
             _check_plan(plan)
             assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
 
-    # Every kind of plan the engine walks: the count's, both enumeration
-    # orders' and both free sides'.
-    PLAN_KINDS = (
-        ("row-major", False),
-        ("row-major", True),
-        ("anti-diagonal", True),
-        *((free, False) for free in _FREE_SIDES),
-    )
-
     @staticmethod
     def with_row(plan, r, row):
         return dataclasses.replace(plan, rows=plan.rows[:r] + (row,) + plan.rows[r + 1 :])
 
     def test_rejects_a_dropped_inequality(self):
-        for scan_order, keep in self.PLAN_KINDS:
+        for scan_order, keep in PLAN_KINDS:
             plan = _plan(5, scan_order, keep)
             r, t = next(
                 (r, t)
@@ -466,7 +468,7 @@ class TestPlanCoverage:
                 _check_plan(self.with_row(plan, r, row))
 
     def test_rejects_a_short_frontier(self):
-        for scan_order, keep in self.PLAN_KINDS:
+        for scan_order, keep in PLAN_KINDS:
             plan = _plan(5, scan_order, keep)
             _check_plan(plan)
             # a key without a label the next row reads
@@ -487,8 +489,84 @@ class TestPlanCoverage:
                 _check_plan(self.with_row(plan, len(plan.rows) - 1, (row_steps, wrong)))
 
     def test_rejects_a_key_ahead_of_its_row(self):
-        for scan_order, keep in self.PLAN_KINDS:
+        for scan_order, keep in PLAN_KINDS:
             plan = _plan(5, scan_order, keep)
             (first, key), (second, _) = plan.rows[:2]
             with pytest.raises(AssertionError):
                 _check_plan(self.with_row(plan, 0, (first, key + (second[-1].vid,))))
+
+
+def reference_row(row_steps, carried, key, frontier, vals, cap):
+    """One row walked from its steps, one range(max(...), min(...) + 1) loop each.
+
+    Returns the states reached and the number of visits whose bounds cross.
+    """
+    vals = list(vals)
+    reached = {}
+    crossed = 0
+
+    def walk(t, mult):
+        nonlocal crossed
+        if t == len(row_steps):
+            k = tuple(vals[u] for u in key)
+            reached[k] = reached.get(k, 0) + mult
+            return
+        step = row_steps[t]
+        lo = max(
+            0,
+            *(vals[u] for u in step.lower_singles),
+            *(vals[x] + vals[y] - vals[z] for x, y, z in step.lower_triples),
+        )
+        hi = min(
+            cap,
+            *(vals[u] for u in step.upper_singles),
+            *(vals[x] + vals[y] - vals[z] for x, y, z in step.upper_triples),
+        )
+        crossed += lo > hi
+        for vals[step.vid] in range(lo, hi + 1):
+            walk(t + 1, mult)
+
+    for labels, mult in frontier.items():
+        for u, label in zip(carried, labels):
+            vals[u] = label
+        walk(0, mult)
+    return reached, crossed
+
+
+class TestCompiledRows:
+    """Every compiled row against reference_row, on seeded random boundaries."""
+
+    @staticmethod
+    def random_partition(rng, weight, length):
+        parts = [0] * length
+        for _ in range(weight):
+            parts[rng.randrange(length)] += 1
+        return Partition(sorted(parts, reverse=True))
+
+    @pytest.mark.parametrize("scan_order, keep", PLAN_KINDS)
+    def test_rows_match_the_reference(self, scan_order, keep):
+        rng = random.Random(14)
+        crossed = walked = 0
+        # side 19 splits a row (or the free side) into two segments
+        for n in (*range(1, 10), _ROW_LIMIT + 3):
+            plan = _plan(n, scan_order, keep)
+            for _ in range(6):
+                mu = self.random_partition(rng, rng.randint(0, n + 2), n)
+                nu = self.random_partition(rng, rng.randint(0, n + 2), n)
+                lam = self.random_partition(rng, mu.weight + nu.weight, n)
+                if scan_order == "free-lam":
+                    lam = Partition([lam.weight])
+                elif scan_order == "free-nu":
+                    nu = Partition([nu.weight])
+                vals = [0] * plan.size
+                _fill_boundary(vals, plan.sides, lam, mu, nu)
+                frontier, carried = {(): 1}, ()
+                for (row_steps, key), walk in zip(plan.rows, plan.walkers):
+                    assert not {"range", "max", "min"} & set(walk.__code__.co_names)
+                    expected, dead = reference_row(row_steps, carried, key, frontier, vals, lam.weight)
+                    frontier, carried = walk(frontier, vals, lam.weight), key
+                    assert list(frontier.items()) == list(expected.items()), (n, lam, mu, nu)
+                    crossed += dead
+                walked += bool(frontier)
+        # the walks reach both dead ends and final states
+        assert crossed and walked
