@@ -8,8 +8,8 @@ partition free and walk it last, so the final states are the terms.
 from __future__ import annotations
 
 from .hives import lr_coefficient_hive, lr_expansion_hive
-from .partitions import Partition, contains
-from .skew import SkewShape
+from .partitions import contains
+from .skew import SkewShape, star
 from .tableaux import lr_expansion, lr_tableau_count
 
 class Expansion:
@@ -55,9 +55,6 @@ class Expansion:
     def __len__(self):
         return len(self._coeffs)
 
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def __eq__(self, other):
         if isinstance(other, Expansion):
             return self._coeffs == other._coeffs
@@ -82,17 +79,13 @@ def lr_coefficient(lam, mu, nu, method="hive"):
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
-    By tableaux: the skew shape mu*nu, outer (mu_i + nu_1, ..., nu) and inner
-    (nu_1^len(mu)).  By hives: one walk on the side len(mu) + len(nu), with
-    lambda free.  Not cached: every call walks again.
+    By hives: one walk on the side len(mu) + len(nu), with lambda free.  By
+    any other method: the skew expansion of star(mu, nu), whose skew Schur
+    function is the product.  Not cached: every call walks again.
     """
-    if method == "tableau":
-        shift = nu.parts[0] if nu else 0
-        outer = Partition([m + shift for m in mu.parts] + list(nu.parts))
-        return Expansion(lr_expansion(outer, Partition([shift] * mu.length)))
     if method == "hive":
         return Expansion(lr_expansion_hive(None, mu, nu))
-    raise ValueError(f"unknown method {method!r}")
+    return skew_expansion(star(SkewShape(mu), SkewShape(nu)), method)
 
 
 def skew_expansion(shape, method="hive"):

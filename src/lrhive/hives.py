@@ -463,18 +463,14 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
 def lr_coefficient_hive(lam, mu, nu):
     """The LR coefficient as the number of LR-hives.
 
-    Weight or length violations of the support conditions short-circuit to 0
-    without counting.  The count is the same on every side at least as long
-    as the three partitions, so it runs on the smallest such side, by the
-    frontier DP rather than hive by hive.
+    A length violation of the support conditions short-circuits to 0, and a
+    weight mismatch counts no hive.  Past the length test len lam is the
+    smallest side holding all three, the side skew expansions walk, and the
+    count (the same on any larger side) runs there by the frontier DP.
     """
-    if lam.weight != mu.weight + nu.weight:
+    if not max(mu.length, nu.length) <= lam.length <= mu.length + nu.length:
         return 0
-    if lam.length < mu.length or lam.length < nu.length:
-        return 0
-    if lam.length > mu.length + nu.length:
-        return 0
-    return _count_by_rows(lam, mu, nu, max(lam.length, mu.length, nu.length))
+    return _count_by_rows(lam, mu, nu, lam.length)
 
 
 def lr_expansion_hive(lam, mu, nu):

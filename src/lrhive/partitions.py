@@ -55,12 +55,6 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
@@ -204,9 +198,6 @@ class SegmentSeq:
 
     segments: tuple
     starts_vertical: bool
-
-    def __iter__(self):
-        return iter(self.segments)
 
 
 def boundary_segments(p, m, n):

@@ -116,6 +116,18 @@ class SkewShape:
         return format_skew_shape(self)
 
 
+def star(theta, phi):
+    """The skew shape theta*phi, theta above and to the right of phi.
+
+    Its skew Schur function is s_theta s_phi (Macdonald, Symmetric
+    Functions, I.5); either factor may be empty.
+    """
+    shift = phi.outer.parts[0] if phi.outer else 0
+    outer = [t + shift for t in theta.outer.parts] + list(phi.outer.parts)
+    inner = [t + shift for t in theta.inner.padded(theta.outer.length)] + list(phi.inner.parts)
+    return SkewShape(Partition(outer), Partition(inner))
+
+
 def parse_skew_shape(text, max_weight=None):
     """Parse "OUTER/INNER" (or bare "OUTER") with partition syntax on each side.
 

@@ -9,6 +9,7 @@ multiplicity of its enumerated expansion.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .classify import gty_mf, stembridge_mf
 from .expansions import product_expansion, skew_expansion
@@ -57,21 +58,26 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
         raise ValueError(f"sample must be non-negative, got {sample}")
     parts = partitions_in_box(*box)
     if family == "products":
-        instances = [(mu, nu) for mu in parts for nu in parts]
+        n = len(parts)
+        instances = product(parts, repeat=2)
+        if sample is not None:  # index j is pair j of that order: the picks of the listed pairs
+            picks = random.Random(seed).sample(range(n * n), min(sample, n * n))
+            instances = [(parts[j // n], parts[j % n]) for j in picks]
         classify, expand, key = stembridge_mf, product_expansion, _product_key
     elif family == "skews":
         instances = [(SkewShape(lam, mu),) for lam in parts for mu in subpartitions(_basic_cap(lam))]
+        if sample is not None:
+            instances = random.Random(seed).sample(instances, min(sample, len(instances)))
         classify, expand, key = gty_mf, skew_expansion, _skew_key
     else:
         raise ValueError(f"unknown family {family!r}")
-    if sample is not None:
-        instances = random.Random(seed).sample(instances, min(sample, len(instances)))
     disagreements = []
-    for args in instances:
+    count = 0
+    for count, args in enumerate(instances, 1):
         verdict = classify(*args)
         enum_max = expand(*args, method=method).max_multiplicity()
         if verdict.multiplicity_free != (enum_max <= 1):
             disagreements.append(
                 {**key(*args), "cases": verdict.sorted_cases(), "max_multiplicity": enum_max}
             )
-    return SweepReport(len(instances), disagreements)
+    return SweepReport(count, disagreements)

@@ -10,7 +10,7 @@ from lrhive.classify import (
 )
 from lrhive.expansions import product_expansion, skew_expansion
 from lrhive.partitions import Partition, parse_partition, partitions_in_box, subpartitions
-from lrhive.skew import SkewShape, parse_skew_shape
+from lrhive.skew import SkewShape, parse_skew_shape, star
 
 P = parse_partition
 S = parse_skew_shape
@@ -66,18 +66,6 @@ def basic_skew_shapes_with_cells(max_cells):
 
                 shapes.extend(offsets(r - 1, []))
     return shapes
-
-
-def star(theta, phi):
-    """The skew shape theta*phi, theta above and to the right of phi.
-
-    Its skew Schur function is s_theta s_phi (Macdonald, Symmetric
-    Functions, I.5), so one tableau walk expands the product.
-    """
-    shift = phi.outer.parts[0]
-    outer = [t + shift for t in theta.outer.parts] + list(phi.outer.parts)
-    inner = [t + shift for t in theta.inner.padded(theta.outer.length)] + list(phi.inner.parts)
-    return SkewShape(Partition(outer), Partition(inner))
 
 
 class TestStembridge:

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,19 @@ from lrhive.skew import SkewShape
 from lrhive.sweep import verify_sweep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def record_product_pairs(monkeypatch):
+    """Record each pair a product sweep classifies; its expansions are skipped."""
+    seen = []
+
+    def recording(mu, nu):
+        seen.append((mu, nu))
+        return lrhive.classify.stembridge_mf(mu, nu)
+
+    monkeypatch.setattr(sweep, "stembridge_mf", recording)
+    monkeypatch.setattr(sweep, "product_expansion", lambda mu, nu, method: Expansion())
+    return seen
 
 
 def run(capsys, *argv):
@@ -260,6 +274,33 @@ class TestVerify:
         shapes = (SkewShape(lam, mu) for lam in partitions_in_box(*box) for mu in subpartitions(lam))
         assert seen == [shape for shape in shapes if shape.is_basic()]
 
+    def test_full_product_sweep_runs_every_pair_in_order(self, monkeypatch):
+        seen = record_product_pairs(monkeypatch)
+        verify_sweep("products", (3, 3))
+        parts = partitions_in_box(3, 3)
+        assert seen == [(mu, nu) for mu in parts for nu in parts]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("box", [(3, 3), (4, 4)])
+    def test_sampled_product_pairs_are_the_listed_sample(self, monkeypatch, box, seed):
+        # 100 of 400 pairs draws from a pool, 100 of 4,900 from a set of picks
+        seen = record_product_pairs(monkeypatch)
+        verify_sweep("products", box, sample=100, seed=seed)
+        parts = partitions_in_box(*box)
+        assert seen == random.Random(seed).sample([(mu, nu) for mu in parts for nu in parts], 100)
+
+    def test_sampled_product_sweep_builds_no_pair_list(self, monkeypatch):
+        # the 5x8 box, at the weight cap, has 1,656,369 pairs; their list took 106 MB
+        seen = record_product_pairs(monkeypatch)
+        tracemalloc.start()
+        try:
+            verify_sweep("products", (5, 8), sample=10, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 10
+        assert peak < 2_000_000, peak
+
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("family, classifier", [("products", "stembridge_mf"), ("skews", "gty_mf")])
     def test_disagreement_records(self, capsys, monkeypatch, family, classifier, fmt, suffix):
@@ -304,6 +345,25 @@ class TestDeterminismAndLimits:
         code, _, err = run(capsys, "lrcoef", "--lambda", "1,3", "--mu", "2,1", "--nu", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "weight_cap, argv, message",
+        [
+            ("abc", ["lrcoef", "--lambda", "1", "--mu", "1", "--nu", "0"],
+             "HIVE_LR_MAX_WEIGHT must be an integer, got 'abc'"),
+            (None, ["witness", "Q1", "--params", "a"], "bad parameter 'a'; expected name=value"),
+            (None, ["witness", "Q1", "--params", "a=x"], "parameter 'a' needs an integer value"),
+            (None, ["verify", "--family", "products", "--box", "3xa"],
+             "bad box '3xa'; sides must be integers"),
+            (None, ["mf", "skew"], "mf skew needs --shape"),
+        ],
+    )
+    def test_usage_error_line(self, capsys, monkeypatch, weight_cap, argv, message):
+        if weight_cap is None:
+            monkeypatch.delenv("HIVE_LR_MAX_WEIGHT", raising=False)
+        else:
+            monkeypatch.setenv("HIVE_LR_MAX_WEIGHT", weight_cap)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -81,7 +81,14 @@ class TestProduct:
         assert as_parts(product_expansion(Partition(), Partition())) == {(): 1}
 
     def test_methods_agree_on_examples(self):
-        for mu, nu in ((P("2,1"), P("2,1")), (P("3,2"), P("2,2")), (P("2,2"), P("3,3,1"))):
+        examples = (
+            (P("2,1"), P("2,1")),
+            (P("3,2"), P("2,2")),
+            (P("2,2"), P("3,3,1")),
+            (Partition(), P("3,2,1")),
+            (P("3,2,1"), Partition()),
+        )
+        for mu, nu in examples:
             assert product_expansion(mu, nu, method="hive") == product_expansion(
                 mu, nu, method="tableau"
             )

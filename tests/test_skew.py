@@ -1,7 +1,7 @@
 import pytest
 
 from lrhive.partitions import Partition, parse_partition, partitions_in_box, subpartitions
-from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape
+from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
 
 P = parse_partition
 S = parse_skew_shape
@@ -112,3 +112,13 @@ class TestComponents:
 
     def test_empty_shape(self):
         assert SkewShape(Partition()).components() == []
+
+
+class TestStar:
+    def test_example(self):
+        assert star(S("2,1/1"), S("2")) == S("4,3,2/3,2")
+
+    def test_empty_factor(self):
+        shape, empty = S("3,2,1/1"), SkewShape(Partition())
+        assert star(empty, shape) == shape
+        assert star(shape, empty) == shape

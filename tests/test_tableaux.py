@@ -1,5 +1,7 @@
 from itertools import product as iproduct
 
+import pytest
+
 from lrhive.partitions import Partition, bounded_partitions, contains, parse_partition, subpartitions
 from lrhive.skew import SkewShape
 from lrhive.tableaux import (
@@ -128,6 +130,31 @@ class TestInvariants:
         t = next(enumerate_lr_tableaux(P("3,2,1"), P("2,1"), P("2,1")))
         bad = LRTableau(t.shape, {**t.entries, (1, 3): 2})
         assert not is_valid_lr_tableau(bad, P("2,1"))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({(3, 2): None}, id="cell-dropped"),
+            pytest.param({(1, 3): 0}, id="entry-zero"),
+            pytest.param({(3, 1): 3, (3, 2): 2}, id="row-decreases"),
+            pytest.param({(2, 3): 1}, id="column-repeats"),
+            pytest.param({(3, 2): 4}, id="wrong-content"),
+            pytest.param({(2, 3): 3, (3, 2): 2}, id="not-lattice"),
+        ],
+    )
+    def test_validator_rejects_each_fault(self, change):
+        # each change breaks one condition of the valid filling and keeps the others
+        lam, mu, nu = P("4,3,2"), P("2,1"), P("3,2,1")
+        valid = {(1, 3): 1, (1, 4): 1, (2, 2): 1, (2, 3): 2, (3, 1): 2, (3, 2): 3}
+        shape = SkewShape(lam, mu)
+        assert LRTableau(shape, valid) in list(enumerate_lr_tableaux(lam, mu, nu))
+        assert is_valid_lr_tableau(LRTableau(shape, valid), nu)
+        entries = {cell: v for cell, v in {**valid, **change}.items() if v is not None}
+        assert not is_valid_lr_tableau(LRTableau(shape, entries), nu)
+
+    def test_impossible_triples_enumerate_nothing(self):
+        assert list(enumerate_lr_tableaux(P("2,1"), P("3"), P("0"))) == []
+        assert list(enumerate_lr_tableaux(P("3,2,1"), P("2,1"), P("2,1,1"))) == []
 
     def test_merged_count_matches_enumeration(self):
         # merging partial fillings on (content, carried row) agrees with keeping every word, |lam| <= 8
