@@ -27,15 +27,13 @@ LIFTED_WITNESS_CASES = ("U1i", "U1ii", "U2i", "U2ii", "U3i", "U3ii")
 
 @dataclass(frozen=True)
 class MFVerdict:
-    """Outcome of a classification: the verdict plus every case that fired."""
+    """Outcome of a classification: every case that fired; free iff one did."""
 
-    multiplicity_free: bool
     cases: frozenset
 
-    @classmethod
-    def from_cases(cls, cases):
-        cases = frozenset(cases)
-        return cls(bool(cases), cases)
+    @property
+    def multiplicity_free(self):
+        return bool(self.cases)
 
     def sorted_cases(self):
         return sorted(self.cases)
@@ -62,7 +60,7 @@ def stembridge_mf(mu, nu):
         cases.add("P3")
     if cm.is_rectangle and cn.is_rectangle:
         cases.add("P4")
-    return MFVerdict.from_cases(cases)
+    return MFVerdict(frozenset(cases))
 
 
 def gty_mf(shape):
@@ -104,7 +102,7 @@ def gty_mf(shape):
         cases.add("R3")
     if cm.is_rectangle and cs.is_rectangle:
         cases.add("R4")
-    return MFVerdict.from_cases(cases)
+    return MFVerdict(frozenset(cases))
 
 
 def _partition_forms(s):
@@ -151,7 +149,7 @@ def skew_product_mf(theta, phi):
         cases.add("V3")
     if t_self.is_rectangle and p_self.is_rectangle:
         cases.add("V4")
-    return MFVerdict.from_cases(cases)
+    return MFVerdict(frozenset(cases))
 
 
 @dataclass(frozen=True)

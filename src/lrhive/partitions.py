@@ -17,7 +17,7 @@ from operator import index as _as_int
 class Partition:
     """Weakly decreasing positive parts; ``Partition()`` is the zero partition.
 
-    Instances are immutable in use, hashable, and iterate over their parts.
+    Instances are immutable in use and hashable.
     Trailing zeros are stripped on construction, so equality is equality of
     diagrams.
     """
@@ -51,9 +51,6 @@ class Partition:
 
     def __bool__(self):
         return bool(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .partitions import (
     Partition,
     complement,
-    conjugate,
     contains,
     format_partition,
     parse_partition,
@@ -46,12 +45,8 @@ class SkewShape:
         return all(ip[r] < w for r, w in enumerate(self.outer.parts))
 
     def is_basic(self):
-        """No empty rows and no empty columns."""
-        if not self.is_row_basic():
-            return False
-        oc = conjugate(self.outer)
-        icp = conjugate(self.inner).padded(oc.length)
-        return all(icp[c] < w for c, w in enumerate(oc.parts))
+        """No empty rows and no empty columns (the row rule of _basic_cap)."""
+        return contains(self.inner, _basic_cap(self.outer))
 
     def rotate_pi(self):
         """180-degree rotation inside the len(outer) x outer_1 bounding box."""
@@ -60,20 +55,23 @@ class SkewShape:
         return SkewShape(complement(self.inner, m, n), complement(self.outer, m, n))
 
     def to_basic(self):
-        """Delete all empty rows and empty columns; idempotent."""
-        out, inn = self.outer, self.inner
-        n = out.length
-        ip = inn.padded(n)
-        rows = [r for r in range(n) if out.parts[r] > ip[r]]
-        width = out.parts[0] if out else 0
-        oc = conjugate(out).padded(width)
-        icp = conjugate(inn).padded(width)
-        kept_before = [0] * (width + 1)
-        for c in range(width):
-            kept_before[c + 1] = kept_before[c] + (1 if oc[c] > icp[c] else 0)
-        new_outer = Partition(kept_before[out.parts[r]] for r in rows)
-        new_inner = Partition(kept_before[ip[r]] for r in rows)
-        return SkewShape(new_outer, new_inner)
+        """Delete all empty rows and empty columns; idempotent.
+
+        With inner padded to len(outer) and outer_{n+1} = 0, the columns left
+        empty between rows k and k+1 are (outer_{k+1}, inner_k], all at or left
+        of column inner_k.  So row r loses
+        d_r = sum_{k >= r} max(0, inner_k - outer_{k+1}) columns from both
+        sides, and the rows with inner_r = outer_r go.
+        """
+        op = self.outer.parts
+        ip = self.inner.padded(len(op))
+        outer, inner, d = [], [], 0
+        for a, b, below in reversed(list(zip(op, ip, op[1:] + (0,)))):
+            d += max(0, b - below)
+            if b < a:
+                outer.append(a - d)
+                inner.append(b - d)
+        return SkewShape(Partition(outer[::-1]), Partition(inner[::-1]))
 
     def components(self):
         """Edge-connected components, top to bottom, each normalized to basic.
@@ -114,6 +112,12 @@ class SkewShape:
 
     def __str__(self):
         return format_skew_shape(self)
+
+
+def _basic_cap(lam):
+    """Largest mu with lam/mu basic (no empty row or column): mu_r = min(lam_r - 1, lam_{r+1})."""
+    below = lam.parts[1:] + (0,)
+    return Partition(min(a - 1, b) for a, b in zip(lam.parts, below))
 
 
 def star(theta, phi):

@@ -13,8 +13,8 @@ from itertools import product
 
 from .classify import gty_mf, stembridge_mf
 from .expansions import product_expansion, skew_expansion
-from .partitions import Partition, partitions_in_box, subpartitions
-from .skew import SkewShape, format_skew_shape
+from .partitions import partitions_in_box, subpartitions
+from .skew import SkewShape, _basic_cap, format_skew_shape
 
 
 class SweepReport:
@@ -39,12 +39,6 @@ def _product_key(mu, nu):
 
 def _skew_key(shape):
     return {"shape": format_skew_shape(shape)}
-
-
-def _basic_cap(lam):
-    """Largest mu with lam/mu basic (no empty row or column): mu_r = min(lam_r - 1, lam_{r+1})."""
-    below = lam.parts[1:] + (0,)
-    return Partition(min(a - 1, b) for a, b in zip(lam.parts, below))
 
 
 def verify_sweep(family, box, sample=None, seed=0, method="hive"):

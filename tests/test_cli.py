@@ -305,7 +305,7 @@ class TestVerify:
     @pytest.mark.parametrize("family, classifier", [("products", "stembridge_mf"), ("skews", "gty_mf")])
     def test_disagreement_records(self, capsys, monkeypatch, family, classifier, fmt, suffix):
         # a classifier that never fires disagrees with every free instance
-        monkeypatch.setattr(sweep, classifier, lambda *args: MFVerdict.from_cases(()))
+        monkeypatch.setattr(sweep, classifier, lambda *args: MFVerdict(frozenset()))
         code, out, err = run(capsys, "verify", "--family", family, "--box", "2x2", "--format", fmt)
         assert (code, err) == (1, "")
         assert out == (GOLDEN / f"verify_{family}_2x2_disagree.{suffix}").read_text()
@@ -375,7 +375,7 @@ class TestDeterminismAndLimits:
 PATCHES = {
     "tableau-count-3": (lrhive.expansions, "lr_tableau_count", lambda *args: 3),
     "stembridge-says-free": (
-        lrhive.classify, "stembridge_mf", lambda *args: MFVerdict.from_cases(("P1",))
+        lrhive.classify, "stembridge_mf", lambda *args: MFVerdict(frozenset({"P1"}))
     ),
     "hive-count-1": (lrhive.classify, "lr_coefficient_hive", lambda *args: 1),
 }

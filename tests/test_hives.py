@@ -319,7 +319,7 @@ class TestFrontierCount:
     def test_stretched_coefficient(self):
         lam, mu, nu = P("6,5,4,3,1,1"), P("4,3,2,1"), P("4,3,2,1")
         assert lr_coefficient_hive(lam, mu, nu) == 18
-        six = lambda p: Partition([6 * x for x in p])
+        six = lambda p: Partition([6 * x for x in p.parts])
         assert lr_coefficient_hive(six(lam), six(mu), six(nu)) == 30348
 
     def test_deep_column_triangle(self):

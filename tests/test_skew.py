@@ -1,7 +1,7 @@
 import pytest
 
 from lrhive.partitions import Partition, parse_partition, partitions_in_box, subpartitions
-from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
+from lrhive.skew import SkewShape, _basic_cap, format_skew_shape, parse_skew_shape, star
 
 P = parse_partition
 S = parse_skew_shape
@@ -81,6 +81,36 @@ class TestBasic:
         s = S("3,1/2")
         assert s.is_row_basic()
         assert not s.is_basic()
+
+
+def rebuilt_without_empty_lines(cells):
+    """The shape of the cells once the empty rows and columns are deleted and the rest renumbered."""
+    row = {r: i for i, r in enumerate(sorted({r for r, _ in cells}))}
+    col = {c: j for j, c in enumerate(sorted({c for _, c in cells}), 1)}
+    lines = [[] for _ in row]
+    for r, c in cells:
+        lines[row[r]].append(col[c])
+    return SkewShape(Partition(max(cs) for cs in lines), Partition(min(cs) - 1 for cs in lines))
+
+
+class TestBasicByCells:
+    """The row rule of _basic_cap against the cell set, independent of that rule."""
+
+    @pytest.mark.parametrize("m, n", [(5, 5), (6, 4), (3, 7), (4, 0)])
+    def test_rule_matches_cells(self, m, n):
+        for lam in partitions_in_box(m, n):
+            every_row = set(range(1, lam.length + 1))
+            every_col = set(range(1, (lam.parts[0] if lam else 0) + 1))
+            basic = []
+            for mu in subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                cells = shape.cells()
+                full = {r for r, _ in cells} == every_row and {c for _, c in cells} == every_col
+                assert shape.is_basic() == full, shape
+                assert shape.to_basic() == rebuilt_without_empty_lines(cells), shape
+                if full:
+                    basic.append(mu)
+            assert list(subpartitions(_basic_cap(lam))) == basic, lam
 
 
 class TestComponents:
