@@ -1,8 +1,9 @@
 """Schur product and skew expansions by either engine; the two must agree term by term.
 
-Each engine expands in one row-by-row walk.  Tableaux fill a skew shape,
-and s_mu s_nu as the skew shape mu*nu.  Hives leave the side of the output
-partition free and walk it last, so the final states are the terms.
+Each engine expands a skew shape in one row-by-row walk, and both expand
+s_mu s_nu as the skew shape mu*nu.  Tableaux fill the shape; hives leave
+the nu side free and walk it last, each row right to left, so the final
+states are the terms.
 """
 
 from __future__ import annotations
@@ -79,12 +80,9 @@ def lr_coefficient(lam, mu, nu, method="hive"):
 def product_expansion(mu, nu, method="hive"):
     """Expansion of the product of the two Schur functions indexed by mu, nu.
 
-    By hives: one walk on the side len(mu) + len(nu), with lambda free.  By
-    any other method: the skew expansion of star(mu, nu), whose skew Schur
-    function is the product.  Not cached: every call walks again.
+    The skew expansion of star(mu, nu), whose skew Schur function is the
+    product.  Not cached: every call walks again.
     """
-    if method == "hive":
-        return Expansion(lr_expansion_hive(None, mu, nu))
     return skew_expansion(star(SkewShape(mu), SkewShape(nu)), method)
 
 
@@ -97,15 +95,16 @@ def skew_expansion(shape, method="hive"):
     if method == "tableau":
         return Expansion(lr_expansion(shape.outer, shape.inner))
     if method == "hive":
-        return Expansion(lr_expansion_hive(shape.outer, shape.inner, None))
+        return Expansion(lr_expansion_hive(shape.outer, shape.inner))
     raise ValueError(f"unknown method {method!r}")
 
 
 def duality_check(lam, mu, nu):
     """The coefficient of nu in lam/mu equals the coefficient of lam in mu*nu.
 
-    Both sides are read off full hive expansions (nu free, lambda free), so
-    the two routes are independent; mismatched weights make both sides 0.
+    Both sides are read off full hive expansions, each a walk with the nu
+    side free: one on lam/mu and one on the shape mu*nu.  Mismatched
+    weights make both sides 0.
     """
     if contains(mu, lam):
         skew_side = skew_expansion(SkewShape(lam, mu))[nu]

@@ -25,10 +25,9 @@ _SCAN_KEYS = {
     "anti-diagonal": lambda v: (v[0] + v[1], v[0]),
 }
 SCAN_ORDERS = tuple(_SCAN_KEYS)
-# Expansion plans also walk a free side, as the last row; each is (its index
-# in _sides, sort key): the lam side (column 0) by columns descending, or the
-# nu side (row 0) by rows descending.
-_FREE_SIDES = {"free-lam": (0, lambda v: (-v[1], v[0])), "free-nu": (1, lambda v: (-v[0], v[1]))}
+# The expansion plan also walks the nu side (row 0) free, as the last row;
+# its sort key runs the rows descending, each right to left.
+_FREE_SIDES = {"free-nu": lambda v: (-v[0], -v[1])}
 # The most steps in one walked row.  A compiled row nests one loop per step
 # inside its loop over the frontier, and CPython rejects more than 20
 # statically nested blocks.
@@ -149,10 +148,10 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plan(n, scan_order, keep=False):
+def _plan(n, scan_order, keep, /):
     """Precompute the search schedule for side n under the given scan order.
 
-    For each interior vertex, and each inner vertex of a free side, collect
+    For each interior vertex, and each inner vertex of the free side, collect
     every rhombus inequality whose other three vertices come earlier (fixed
     boundary vertices count as assigned), split into lower/upper bounds on
     the vertex, plus single-vertex bounds implied by the monotonicity of edge
@@ -160,10 +159,10 @@ def _plan(n, scan_order, keep=False):
     order's rows, and a row longer than _ROW_LIMIT into consecutive segments,
     each walked as a row of its own.
 
-    Each row's key is the frontier, the labels later rows still read; on a
-    free side it is led by the free labels assigned so far, in side order,
-    and with keep it is every label assigned so far, so nothing merges.
-    Every row is compiled once, here.
+    Each row's key is the frontier, the labels later rows still read; from
+    the free side on it is led by the free labels assigned so far, in side
+    order, and with keep it is every label assigned so far, so nothing
+    merges.  Every row is compiled once, here.
     """
     vid = {}
     k = 0
@@ -172,12 +171,9 @@ def _plan(n, scan_order, keep=False):
             vid[(i, j)] = k
             k += 1
     size = k
-    walked = [(i, j) for i in range(1, n) for j in range(1, n - i)]
-    if scan_order in _FREE_SIDES:
-        side, key = _FREE_SIDES[scan_order]
-        walked += _sides(n)[side][1:-1]
-    else:
-        key = _SCAN_KEYS[scan_order]
+    free = _sides(n)[1][1:-1] if scan_order in _FREE_SIDES else []
+    walked = [(i, j) for i in range(1, n) for j in range(1, n - i)] + free
+    key = (_SCAN_KEYS | _FREE_SIDES)[scan_order]
     walked.sort(key=key)
     pos = {vid[p]: t for t, p in enumerate(walked)}
 
@@ -231,11 +227,13 @@ def _plan(n, scan_order, keep=False):
         frontiers.append(tuple(sorted(u for u in later if u in pos and pos[u] <= end)))
         for step in row_steps:
             later |= step.reads()
-    free = {vid[p] for p in _sides(n)[_FREE_SIDES[scan_order][0]]} if scan_order in _FREE_SIDES else ()
+    result = [vid[p] for p in (walked if keep else free)]  # the labels the last key holds, in order
     rows, walkers = [], []
-    carried = done = ()  # done: the labels every later key leads with
+    carried = ()
+    assigned = set()
     for row_steps, frontier in zip(segments, reversed(frontiers)):
-        done += tuple(step.vid for step in row_steps if keep or step.vid in free)
+        assigned.update(step.vid for step in row_steps)
+        done = tuple(u for u in result if u in assigned)  # what every later key leads with
         key = done + tuple(u for u in frontier if u not in done)
         rows.append((row_steps, key))
         walkers.append(_compile_row(row_steps, carried, key))
@@ -297,7 +295,7 @@ def _check_plan(plan):
     if plan.keep:
         result = tuple(step.vid for step in steps)
     elif plan.scan_order in _FREE_SIDES:
-        result = plan.sides[_FREE_SIDES[plan.scan_order][0]][1:-1]
+        result = plan.sides[1][1:-1]
     else:
         result = ()
     if carried != result:
@@ -473,26 +471,20 @@ def lr_coefficient_hive(lam, mu, nu):
     return _count_by_rows(lam, mu, nu, lam.length)
 
 
-def lr_expansion_hive(lam, mu, nu):
-    """{term: LR coefficient} for the side given as None, by one row walk.
+def lr_expansion_hive(lam, mu):
+    """{nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam.
 
-    lam=None expands s_mu s_nu on the side len mu + len nu; nu=None expands
-    s_{lam/mu} on the side len lam.  The free side's weight, as a one-row
-    partition, sets its corner labels.  The walk assigns the rest last, in
-    one or more rows, and the plan leads every key from the first of them on
-    with the free labels assigned so far, so each final key holds the inner
-    partial sums of one term.
+    The nu side's weight, as a one-row partition, sets its corner labels.
+    The walk assigns the rest of the nu side last, right to left, in one or
+    more rows, and the plan leads every key from the first of them on with
+    the nu labels assigned so far, in side order, so each final key holds
+    the inner partial sums of one term.
     """
-    if lam is None:
-        free, n, lam = "free-lam", mu.length + nu.length, Partition([mu.weight + nu.weight])
-    else:
-        free, n, nu = "free-nu", lam.length, Partition([lam.weight - mu.weight])
-    walked = _by_rows(lam, mu, nu, n, free)
+    top = lam.weight - mu.weight
+    walked = _by_rows(lam, mu, Partition([top]), lam.length, "free-nu")
     if walked is None:
         return {}
-    plan, vals, reached = walked
-    top = vals[plan.sides[_FREE_SIDES[free][0]][-1]]
-    return {Partition(b - a for a, b in pairwise((0, *labels, top))): c for labels, c in reached.items()}
+    return {Partition(b - a for a, b in pairwise((0, *labels, top))): c for labels, c in walked[2].items()}
 
 
 def is_valid_lr_hive(hive, boundary):
@@ -502,7 +494,7 @@ def is_valid_lr_hive(hive, boundary):
     for (i, j), label in boundary.vertex_labels().items():
         if hive.rows[i][j] != label:
             return False
-    plan = _plan(hive.n, "row-major", False)  # as _by_rows asks for it, so the cache shares it
+    plan = _plan(hive.n, "row-major", False)
     flat = [0] * plan.size
     for (i, j), v in plan.vid.items():
         flat[v] = hive.rows[i][j]

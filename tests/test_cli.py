@@ -356,6 +356,7 @@ class TestDeterminismAndLimits:
             (None, ["verify", "--family", "products", "--box", "3xa"],
              "bad box '3xa'; sides must be integers"),
             (None, ["mf", "skew"], "mf skew needs --shape"),
+            (None, ["witness", "Q9", "--params", "a=1"], "unknown case 'Q9'; expected one of Q1, Q2, Q3"),
         ],
     )
     def test_usage_error_line(self, capsys, monkeypatch, weight_cap, argv, message):
@@ -402,7 +403,7 @@ class TestStartup:
             f"import sys; sys.path.insert(0, {str(src)!r})\n"
             "import lrhive.cli\n"
             "lrhive.cli.build_parser()\n"
-            "print(sorted(m for m in sys.modules if m.startswith('lrhive.') or m == 'dataclasses'))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'lrhive' or m == 'dataclasses'))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "['lrhive.cli']"
+        assert out.stdout.strip() == "['lrhive', 'lrhive.cli']"

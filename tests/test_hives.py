@@ -85,7 +85,7 @@ def tight_side(lam, mu, nu):
 
 
 # Every kind of plan the engine walks: the count's, both enumeration orders'
-# and both free sides'.
+# and the free side's.
 PLAN_KINDS = (
     ("row-major", False),
     ("row-major", True),
@@ -114,6 +114,10 @@ class TestValidation:
         rows = [list(r) for r in hives[0].rows]
         rows[1][1] += 1
         assert not is_valid_lr_hive(Hive(3, rows), b)
+
+    def test_rows_must_form_a_triangle(self):
+        with pytest.raises(ValueError, match="rows must form a triangle of side n"):
+            Hive(2, [[0, 1], [1]])
 
     def test_dimension_mismatch(self):
         b = HiveBoundary(2, P("2,1"), P("1"), P("1,1"))
@@ -172,7 +176,7 @@ class TestEnumeration:
     def test_lexicographic_across_segments(self, scan_order):
         # on side 19 the longest row (or anti-diagonal) has 17 vertices, walked as two segments
         n = 19
-        assert max(len(row_steps) for row_steps, _ in _plan(n, scan_order).rows) == _ROW_LIMIT
+        assert max(len(row_steps) for row_steps, _ in _plan(n, scan_order, False).rows) == _ROW_LIMIT
         hives = enumerate_lr_hives(P("4,3,2,1"), P("2,2"), P("3,2,1"), n, scan_order=scan_order)
         interior = sorted(((i, j) for i in range(1, n) for j in range(1, n - i)), key=_SCAN_KEYS[scan_order])
         interiors = [tuple(h.rows[i][j] for i, j in interior) for h in hives]
@@ -354,7 +358,7 @@ class TestFreeSideWalk:
         ],
     )
     def test_products_on_sides_0_to_2(self, mu, nu, terms):
-        assert {p.parts: c for p, c in lr_expansion_hive(None, P(mu), P(nu)).items()} == terms
+        assert {p.parts: c for p, c in product_expansion(P(mu), P(nu), "hive").terms()} == terms
 
     @pytest.mark.parametrize(
         "lam, mu, terms",
@@ -367,7 +371,7 @@ class TestFreeSideWalk:
         ],
     )
     def test_skews_on_sides_0_to_2(self, lam, mu, terms):
-        assert {p.parts: c for p, c in lr_expansion_hive(P(lam), P(mu), None).items()} == terms
+        assert {p.parts: c for p, c in lr_expansion_hive(P(lam), P(mu)).items()} == terms
 
     # Free sides of 17 or more inner vertices, walked as two segments, against the tableau rule.
     @pytest.mark.parametrize("mu, nu", [("1^9", "1^9"), ("2^9", "1^10"), ("3^5,1^5", "2^8")])
@@ -431,19 +435,19 @@ class TestPlanCoverage:
     @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
     def test_holds_for_small_sides(self, scan_order):
         for n in range(1, 11):
-            _check_plan(_plan(n, scan_order))
+            _check_plan(_plan(n, scan_order, False))
 
     @pytest.mark.parametrize("free", _FREE_SIDES)
     def test_free_side_is_the_last_row(self, free):
+        # the nu side's inner vertices, right to left
         for n in range(2, 11):
-            plan = _plan(n, free)
-            side = plan.sides[_FREE_SIDES[free][0]][1:-1]
-            assert tuple(step.vid for step in plan.rows[-1][0]) == side
+            plan = _plan(n, free, False)
+            assert tuple(step.vid for step in plan.rows[-1][0]) == plan.sides[1][1:-1][::-1]
 
     @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
     def test_segments_for_sides_1_to_24(self, scan_order):
         for n in range(1, 25):
-            plan = _plan(n, scan_order)
+            plan = _plan(n, scan_order, False)
             _check_plan(plan)
             assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
 
@@ -554,9 +558,7 @@ class TestCompiledRows:
                 mu = self.random_partition(rng, rng.randint(0, n + 2), n)
                 nu = self.random_partition(rng, rng.randint(0, n + 2), n)
                 lam = self.random_partition(rng, mu.weight + nu.weight, n)
-                if scan_order == "free-lam":
-                    lam = Partition([lam.weight])
-                elif scan_order == "free-nu":
+                if scan_order in _FREE_SIDES:
                     nu = Partition([nu.weight])
                 vals = [0] * plan.size
                 _fill_boundary(vals, plan.sides, lam, mu, nu)

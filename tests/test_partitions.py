@@ -247,6 +247,12 @@ class TestBoundary:
         assert seg.segments == (4, 7)
         assert seg.starts_vertical
 
+    def test_rejects_a_box_it_cannot_draw(self):
+        with pytest.raises(ValueError, match="box sides must be positive"):
+            boundary_segments(P("2"), 0, 3)
+        with pytest.raises(ValueError, match="4 does not fit in a 3x3 box"):
+            boundary_segments(P("4"), 3, 3)
+
     def test_segment_sums_exhaustive(self):
         for m in range(1, 9):
             for n in range(1, 9):
