@@ -1,11 +1,13 @@
 """Multiplicity-free classifications and the witnesses that break them.
 
-Three constant-time structural predicates decide whether a Schur product, a
-basic skew Schur function, or a product of two basic skew Schur functions is
-multiplicity-free.  Alongside them sit explicit witness constructions that,
-for every parameter choice outside the multiplicity-free lists, produce a
-target partition whose coefficient is (at least) 2 -- verifiable by the hive
-engine.
+One rule decides whether a Schur product, a basic skew Schur function, or a
+product of two basic skew Schur functions is multiplicity-free: Stembridge's
+four conditions, each stated once in _verdict.  The three classifiers differ
+only in what they pass in -- the box each partition's shortness is read in,
+and the partitions each factor presents as.  Alongside them sit explicit
+witness constructions that, for every parameter choice outside the
+multiplicity-free lists, produce a target partition whose coefficient is (at
+least) 2 -- verifiable by the hive engine.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hives import lr_coefficient_hive
-from .partitions import Partition, complement, shape_class, shortness, union
+from .partitions import Partition, complement, shape_class, union
 from .skew import SkewShape
-
-PRODUCT_CASES = ("P0", "P1", "P2", "P3", "P4")
-SKEW_CASES = ("R0", "R1", "R2", "R3", "R4")
-SKEW_PRODUCT_CASES = ("V1", "V2", "V3", "V4")
 
 PRODUCT_WITNESS_CASES = ("Q1", "Q2", "Q3")
 SKEW_WITNESS_CASES = ("T1i", "T1ii", "T2i", "T2ii", "T3i", "T3ii")
@@ -39,70 +37,59 @@ class MFVerdict:
         return sorted(self.cases)
 
 
-def stembridge_mf(mu, nu):
-    """Classify the Schur function product indexed by (mu, nu).
+def _own_class(p):
+    """shape_class of p in its own box, first part x length."""
+    return shape_class(p, p.parts[0] if p else 0, p.length)
 
-    All satisfied case labels P0..P4 are reported, not just the first.
+
+def _verdict(prefix, empty, x, y):
+    """Stembridge's conditions 1-4 on two factors, labelled prefix + number.
+
+    Each factor is a pair (its own class, the classes of the partitions it
+    presents as); a condition holds if it holds either way round.  Case 0
+    fires when empty is true.
     """
-    cases = set()
-    cm, cn = shape_class(mu), shape_class(nu)
-    if not mu or not nu:
-        cases.add("P0")
-    if cm.is_one_line_rectangle or cn.is_one_line_rectangle:
-        cases.add("P1")
-    if (cm.is_two_line_rectangle and cn.is_fat_hook) or (
-        cn.is_two_line_rectangle and cm.is_fat_hook
-    ):
-        cases.add("P2")
-    if (cm.is_rectangle and cn.is_near_rectangle) or (
-        cn.is_rectangle and cm.is_near_rectangle
-    ):
-        cases.add("P3")
-    if cm.is_rectangle and cn.is_rectangle:
-        cases.add("P4")
+    cases = {prefix + "0"} if empty else set()
+    for (own, _), (_, forms) in ((x, y), (y, x)):
+        if own.is_one_line_rectangle and forms:
+            cases.add(prefix + "1")
+        if own.is_two_line_rectangle and any(f.is_fat_hook for f in forms):
+            cases.add(prefix + "2")
+        if own.is_rectangle and any(f.is_near_rectangle for f in forms):
+            cases.add(prefix + "3")
+        if own.is_rectangle and any(f.is_rectangle for f in forms):
+            cases.add(prefix + "4")
     return MFVerdict(frozenset(cases))
 
 
-def gty_mf(shape):
-    """Classify a basic skew Schur function via its box complement.
+def stembridge_mf(mu, nu):
+    """Classify the Schur function product indexed by (mu, nu).
 
-    With m the first part and n the length of the outer partition, the inner
-    partition and the m^n-complement of the outer one are tested against the
-    cases R0..R4; shortness is always measured in that m x n box.  Non-basic
-    input is rejected: normalizing silently would change the box.
+    mu and nu are read in their own boxes, each presenting only as itself.
+    All satisfied case labels P0..P4 are reported, not just the first.
+    """
+    cm, cn = _own_class(mu), _own_class(nu)
+    return _verdict("P", not mu or not nu, (cm, [cm]), (cn, [cn]))
+
+
+def gty_mf(shape):
+    """Classify a basic skew Schur function lam/mu via its box complement.
+
+    With m the first part and n the length of lam, Stembridge's conditions
+    (_verdict) are applied to mu and the m^n-complement lam* of lam, both
+    read in the m x n box; the cases are R0..R4, and R0 fires when mu or lam*
+    is empty.  Non-basic input is rejected: normalizing silently would change
+    the box.
     """
     if not shape.is_basic():
         raise ValueError(
             f"{shape} is not basic; reduce it with to_basic() before classifying"
         )
     lam, mu = shape.outer, shape.inner
-    if lam:
-        m, n = lam.parts[0], lam.length
-        lstar = complement(lam, m, n)
-    else:
-        m = n = 0
-        lstar = Partition()
-    cases = set()
-    cm, cs = shape_class(mu), shape_class(lstar)
-
-    def short(p):
-        return shortness(p, m, n)
-
-    if not mu or not lstar:
-        cases.add("R0")
-    if (cm.is_rectangle and short(mu) == 1) or (cs.is_rectangle and short(lstar) == 1):
-        cases.add("R1")
-    if (cm.is_rectangle and short(mu) == 2 and cs.is_fat_hook) or (
-        cs.is_rectangle and short(lstar) == 2 and cm.is_fat_hook
-    ):
-        cases.add("R2")
-    if (cm.is_rectangle and cs.is_fat_hook and short(lstar) == 1) or (
-        cs.is_rectangle and cm.is_fat_hook and short(mu) == 1
-    ):
-        cases.add("R3")
-    if cm.is_rectangle and cs.is_rectangle:
-        cases.add("R4")
-    return MFVerdict(frozenset(cases))
+    m, n = lam.parts[0] if lam else 0, lam.length
+    lstar = complement(lam, m, n)
+    cm, cs = shape_class(mu, m, n), shape_class(lstar, m, n)
+    return _verdict("R", not mu or not lstar, (cm, [cm]), (cs, [cs]))
 
 
 def _partition_forms(s):
@@ -119,9 +106,11 @@ def _partition_forms(s):
 def skew_product_mf(theta, phi):
     """Classify the product of two nonempty basic skew Schur functions.
 
-    "phi or its rotation is a partition/fat hook/near-rectangle" is tested via
-    the unskewed forms of phi; rectangles are rotation-symmetric, so the
-    rectangle conditions only ever hold for unskewed factors.
+    Stembridge's conditions (_verdict), with cases V1..V4 and no V0: a
+    factor's own class is that of its outer partition when it is unskewed
+    and the empty class otherwise, and its forms are the partitions it or
+    its rotation is.  A basic shape whose rotation is a rectangle is that
+    rectangle unskewed, so V4 asks for two unskewed rectangles.
     """
     for name, s in (("theta", theta), ("phi", phi)):
         if not s.is_basic():
@@ -130,26 +119,12 @@ def skew_product_mf(theta, phi):
             raise ValueError(
                 f"{name} is empty; the classification covers nonempty factors only"
             )
-    cases = set()
-    t_forms = _partition_forms(theta)
-    p_forms = _partition_forms(phi)
-    t_self = shape_class(theta.outer if not theta.inner else Partition())
-    p_self = shape_class(phi.outer if not phi.inner else Partition())
-    if (t_self.is_one_line_rectangle and p_forms) or (
-        p_self.is_one_line_rectangle and t_forms
-    ):
-        cases.add("V1")
-    if (t_self.is_two_line_rectangle and any(shape_class(f).is_fat_hook for f in p_forms)) or (
-        p_self.is_two_line_rectangle and any(shape_class(f).is_fat_hook for f in t_forms)
-    ):
-        cases.add("V2")
-    if (t_self.is_rectangle and any(shape_class(f).is_near_rectangle for f in p_forms)) or (
-        p_self.is_rectangle and any(shape_class(f).is_near_rectangle for f in t_forms)
-    ):
-        cases.add("V3")
-    if t_self.is_rectangle and p_self.is_rectangle:
-        cases.add("V4")
-    return MFVerdict(frozenset(cases))
+
+    def factor(s):
+        own = _own_class(s.outer if not s.inner else Partition())
+        return own, [_own_class(f) for f in _partition_forms(s)]
+
+    return _verdict("V", False, factor(theta), factor(phi))
 
 
 @dataclass(frozen=True)

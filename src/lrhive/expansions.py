@@ -13,6 +13,7 @@ from .partitions import contains
 from .skew import SkewShape, star
 from .tableaux import lr_expansion, lr_tableau_count
 
+
 class Expansion:
     """A finite map from partitions to positive coefficients, one weight."""
 
@@ -36,7 +37,11 @@ class Expansion:
         return max(self._coeffs.values(), default=0)
 
     def multiply(self, other):
-        """Coefficient-wise product: one uncached hive walk per pair of terms."""
+        """The product of the two symmetric functions, as an expansion.
+
+        For each pair of terms c_p s_p and c_q s_q it adds c_p c_q times the
+        expansion of s_p s_q: one uncached hive walk per pair of terms.
+        """
         total = {}
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():

@@ -168,25 +168,20 @@ class ShapeClass:
     is_near_rectangle: bool
 
 
-def shape_class(p):
-    """Classify p as rectangle / fat hook and their distinguished subtypes.
+def shape_class(p, m, n):
+    """Classify p as rectangle / fat hook and their subtypes in the m x n box.
 
-    The zero partition carries no flags.  A rectangle (a^k) is one-line when
-    a = 1 or k = 1, two-line when a, k > 1 and a = 2 or k = 2.  A fat hook
-    (a^r b^s) with a > b > 0 is a near-rectangle when any of a-b, b, r, s is 1.
+    A rectangle has one run of equal parts and a fat hook two; the zero
+    partition carries no flags.  The subtypes are read off p's shortness in
+    the box: a rectangle is one-line at shortness 1 and two-line at shortness
+    2, and a fat hook is a near-rectangle at shortness 1.  In p's own box
+    (first part x length) a^k has the segments a and k, and a^r b^s the
+    segments b, s, a-b and r, so there these are the run-length rules.
     """
-    runs = _runs(p.parts)
-    rect = len(runs) == 1
-    fat = len(runs) == 2
-    one_line = two_line = near = False
-    if rect:
-        a, k = runs[0]
-        one_line = a == 1 or k == 1
-        two_line = a > 1 and k > 1 and (a == 2 or k == 2)
-    if fat:
-        (a, r), (b, s) = runs
-        near = a - b == 1 or b == 1 or r == 1 or s == 1
-    return ShapeClass(rect, one_line, two_line, fat, near)
+    runs = len(set(p.parts))  # the parts weakly decrease
+    rect, fat = runs == 1, runs == 2
+    short = shortness(p, m, n) if rect or fat else 0
+    return ShapeClass(rect, rect and short == 1, rect and short == 2, fat, fat and short == 1)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from lrhive.classify import (
 )
 from lrhive.expansions import product_expansion, skew_expansion
 from lrhive.partitions import Partition, parse_partition, partitions_in_box, subpartitions
-from lrhive.skew import SkewShape, parse_skew_shape, star
+from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
 
 P = parse_partition
 S = parse_skew_shape
@@ -197,6 +198,33 @@ class TestSkewProduct:
             theta, phi = rng.choice(shapes), rng.choice(shapes)
             free = skew_expansion(star(theta, phi), method="tableau").max_multiplicity() <= 1
             assert skew_product_mf(theta, phi).multiplicity_free == free, (theta, phi)
+
+
+# SHA-256 of the case-label lines the test below builds; any change to a label
+# over these boxes changes it.
+CASE_LABELS_DIGEST = "cc7c13839818ca6119d08efac43982598bfd9bd59e0df15839318abd00d2b47d"
+
+
+def test_case_labels_over_whole_boxes():
+    """The case labels, not just the verdicts, over three whole boxes."""
+    h = hashlib.sha256()
+
+    def put(*names, verdict):
+        h.update((" ".join(names) + " " + ",".join(verdict.sorted_cases()) + "\n").encode())
+
+    ps = partitions_in_box(4, 4)
+    for mu in ps:
+        for nu in ps:
+            put(str(mu), str(nu), verdict=stembridge_mf(mu, nu))
+    for s in basic_shapes_in_box(5, 5):
+        put(format_skew_shape(s), verdict=gty_mf(s))
+    shapes = [s for s in basic_shapes_in_box(3, 3) if s.size]
+    assert len(shapes) == 54
+    for theta in shapes:
+        for phi in shapes:
+            put(format_skew_shape(theta), format_skew_shape(phi),
+                verdict=skew_product_mf(theta, phi))
+    assert h.hexdigest() == CASE_LABELS_DIGEST
 
 
 class TestFindWitness:

@@ -199,36 +199,52 @@ class TestComplement:
 
 class TestShapeClass:
     def test_one_line(self):
-        sc = shape_class(P("5"))
+        sc = shape_class(P("5"), 5, 1)
         assert sc.is_rectangle and sc.is_one_line_rectangle
         assert not sc.is_two_line_rectangle and not sc.is_fat_hook
 
     def test_fat_hook_near(self):
-        sc = shape_class(P("3,3,1"))
+        sc = shape_class(P("3,3,1"), 3, 3)
         assert sc.is_fat_hook and sc.is_near_rectangle
         assert not sc.is_rectangle
 
     def test_two_line(self):
-        sc = shape_class(P("2,2,2"))
+        sc = shape_class(P("2,2,2"), 2, 3)
         assert sc.is_rectangle and sc.is_two_line_rectangle
         assert not sc.is_one_line_rectangle
 
     def test_zero_partition_no_flags(self):
-        sc = shape_class(Partition())
+        sc = shape_class(Partition(), 0, 0)
         assert not any(
             [sc.is_rectangle, sc.is_one_line_rectangle, sc.is_two_line_rectangle,
              sc.is_fat_hook, sc.is_near_rectangle]
         )
 
+    def test_subtypes_depend_on_the_box(self):
+        p = P("3,3,3")
+        assert shortness(p, 9, 5) == 2
+        assert shape_class(p, 9, 5).is_two_line_rectangle
+        own = shape_class(p, 3, 3)
+        assert own.is_rectangle and not own.is_two_line_rectangle
+
     def test_flag_consistency(self):
+        """In its own box each partition gets the textbook run-length flags."""
         for w in range(13):
             for p in bounded_partitions(w):
-                sc = shape_class(p)
+                sc = shape_class(p, p.parts[0] if p else 0, p.length)
                 if sc.is_one_line_rectangle or sc.is_two_line_rectangle:
                     assert sc.is_rectangle
                 if sc.is_near_rectangle:
                     assert sc.is_fat_hook
                 assert not (sc.is_rectangle and sc.is_fat_hook)
+                runs = [(v, p.parts.count(v)) for v in sorted(set(p.parts), reverse=True)]
+                if len(runs) == 1:
+                    (a, k), = runs
+                    assert sc.is_one_line_rectangle == (a == 1 or k == 1)
+                    assert sc.is_two_line_rectangle == (a > 1 and k > 1 and 2 in (a, k))
+                if len(runs) == 2:
+                    (a, r), (b, s) = runs
+                    assert sc.is_near_rectangle == (1 in (a - b, b, r, s))
 
 
 class TestBoundary:
