@@ -4,15 +4,18 @@ One rule decides whether a Schur product, a basic skew Schur function, or a
 product of two basic skew Schur functions is multiplicity-free: Stembridge's
 four conditions, each stated once in _verdict.  The three classifiers differ
 only in what they pass in -- the box each partition's shortness is read in,
-and the partitions each factor presents as.  Alongside them sit explicit
-witness constructions that, for every parameter choice outside the
-multiplicity-free lists, produce a target partition whose coefficient is (at
-least) 2 -- verifiable by the hive engine.
+and the partitions each factor presents as.  Alongside them sit the paper's
+witness constructions, one table of cases (_CASES) read by one builder
+(_witness), that for every parameter choice outside the multiplicity-free
+lists produce a target partition whose coefficient is (at least) 2 --
+verifiable by the hive engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index as _as_int
 
 from .hives import lr_coefficient_hive
 from .partitions import Partition, complement, shape_class, union
@@ -157,8 +160,100 @@ def _norm_case(case, known):
     raise ValueError(f"unknown case {case!r}; expected one of {', '.join(known)}")
 
 
-def _take(params, names, case):
-    names = names.split()
+def _lift(family, outer, inner, part):
+    """Parts of nu for a U case: a T-case witness lifted back by one part.
+
+    outer/inner is normalized to basic first.  Deleting empty columns keeps
+    the pair inside the T-case family, so the parameters are re-read off the
+    reduced shape; subcase (i) is used when its requirements hold.  Adding
+    the part undoes the stripped row by the row/column monotonicity of the
+    coefficients.
+    """
+    shape = SkewShape(Partition(outer), Partition(inner)).to_basic()
+    out, inn = shape.outer.padded(6), shape.inner.padded(3)
+    read = {"T1": out[:3] + inn[:2], "T2": out[:4] + inn[:1], "T3": out[:6:2] + inn[:1]}
+    values = dict(zip("abcde", read[family]))
+    case = family + ("i" if _unmet(family + "i", values) is None else "ii")
+    w = skew_witness(case, **values)
+    if (w.lam, w.mu) != (shape.outer, shape.inner):
+        raise ValueError(f"reduced pair {shape} is not of {family} form")
+    return union(w.nu, Partition([part])).parts
+
+
+# Every witness case: its requirements, checked in order, as comparisons of
+# the integer parameters; the pair it is given, (mu, nu) for Q and lam/mu for
+# T and U; and the partition it constructs, lam for Q and nu for T and U.
+# The parameters are the arguments of the pair.
+_CASES = {
+    "Q1": (("a > b > 0", "c > d > 0"),
+           lambda a, b, c, d: ((a, b), (c, d)),
+           lambda a, b, c, d: (a + c - 1, b + d, 1)),
+    "Q2": (("a > b > c > 0", "d > 1"),
+           lambda a, b, c, d: ((a, b, c), (d, d)),
+           lambda a, b, c, d: (a + d - 1, b + d - 1, c + 1, 1)),
+    "Q3": (("a > b + 1", "b > 1", "c > 2"),
+           lambda a, b, c: ((a, a, b, b), (c, c, c)),
+           lambda a, b, c: (a + c - 1, a + c - 2, b + c - 1, b + 1, 2, 1)),
+    "T1i": (("a > b", "b >= c + 1", "c + 1 >= d", "d >= e + 1", "e >= 1"),
+            lambda a, b, c, d, e: ((a, b, c), (d, e)),
+            lambda a, b, c, d, e: (a - 1, b - e, c - d + 1)),
+    "T1ii": (("a > b", "b >= d", "d >= c + 1", "c >= e", "e >= 1"),
+             lambda a, b, c, d, e: ((a, b, c), (d, e)),
+             lambda a, b, c, d, e: (a - 1, b + c - d - e + 1, 0)),
+    "T2i": (("a > b > c", "c >= d + 1", "d + 1 >= e", "e > 1"),
+            lambda a, b, c, d, e: ((a, b, c, d), (e, e)),
+            lambda a, b, c, d, e: (a - 1, b - 1, c - e + 1, d - e + 1)),
+    "T2ii": (("a > b > c", "c >= e", "e >= d + 1", "d >= 1"),
+             lambda a, b, c, d, e: ((a, b, c, d), (e, e)),
+             lambda a, b, c, d, e: (a - 1, b + d - e, c - e + 1, 0)),
+    "T3i": (("a - 1 > b", "b > c + 1", "c + 1 >= d", "d > 2"),
+            lambda a, b, c, d: ((a, a, b, b, c, c), (d, d, d)),
+            lambda a, b, c, d: (a - 1, a - 2, b - 1, b - d + 1, c - d + 2, c - d + 1)),
+    "T3ii": (("a - 1 > b", "b > d", "d >= c + 1", "c + 1 > 2"),
+             lambda a, b, c, d: ((a, a, b, b, c, c), (d, d, d)),
+             lambda a, b, c, d: (a - 1, a + c - d - 1, b + c - d, b - d + 1, 1, 0)),
+    "U1i": (("a > b > c > 0", "d > e > 0", "a > d"),
+            lambda a, b, c, d, e: ((a, a, b, c), (d, e)),
+            lambda a, b, c, d, e: _lift("T1", (a, b, c), (d, e), a) if b > e
+            else _lift("T1", (a - 1, b, c), (d - 1, b - 1), a - 1)),
+    "U1ii": (("a > b > c > 0", "d > e > 0", "b > d", "c > e"),
+             lambda a, b, c, d, e: ((a, b, c, c), (d, d, e)),
+             lambda a, b, c, d, e: _lift("T1", (a, b, c), (d, e), c - d)),
+    "U2i": (("a > b > c > d > 0", "a > e + 1 > 2"),
+            lambda a, b, c, d, e: ((a, a, b, c, d), (e, e)),
+            lambda a, b, c, d, e: _lift("T2", (a, b, c, d), (e, e), a) if b > e
+            else _lift("T2", (a - 1, b, c, d), (b - 1, b - 1), a - 1)),
+    "U2ii": (("a > b > c > d > 0", "c > e > 1", "d > 1"),
+             lambda a, b, c, d, e: ((a, b, c, d, d), (e, e, e)),
+             lambda a, b, c, d, e: _lift("T2", (a, b, c, d), (e, e), d - e)),
+    "U3i": (("a > b + 1", "b > c + 1", "c > 1", "a > d + 2 > 4"),
+            lambda a, b, c, d: ((a, a, a, b, b, c, c), (d, d, d)),
+            lambda a, b, c, d: _lift("T3", (a, a, b, b, c, c), (d, d, d), a) if b > d
+            else _lift("T3", (a - 1, a - 1, b, b, c, c), (b - 1,) * 3, a - 1)),
+    "U3ii": (("a > b + 1", "b > c + 1", "c > 2", "b > d + 1 > 3"),
+             lambda a, b, c, d: ((a, a, b, b, c, c, c), (d, d, d, d)),
+             lambda a, b, c, d: _lift("T3", (a, a, b, b, c, c), (d, d, d), c - d)),
+}
+
+
+@lru_cache(maxsize=None)
+def _compiled(requirement):
+    return compile(requirement, requirement, "eval")
+
+
+def _unmet(case, values):
+    """The first requirement of the case that the integer values break, or None."""
+    for requirement in _CASES[case][0]:
+        if not eval(_compiled(requirement), {"__builtins__": {}}, values):
+            return requirement
+    return None
+
+
+def _witness(case, known, params):
+    """The witness of a case in known: names, requirements, basicness, construction."""
+    case = _norm_case(case, known)
+    _, given, construct = _CASES[case]
+    names = given.__code__.co_varnames[:given.__code__.co_argcount]
     missing = [k for k in names if k not in params]
     extra = [k for k in params if k not in names]
     if missing or extra:
@@ -166,128 +261,36 @@ def _take(params, names, case):
             f"{case} takes parameters {', '.join(names)}; "
             f"missing {missing or 'none'}, unexpected {extra or 'none'}"
         )
-    return tuple(int(params[k]) for k in names)
-
-
-def _need(cond, desc, case):
-    if not cond:
-        raise ValueError(f"{case} requires {desc}")
-
-
-def _need_basic(lam, mu, case):
-    if not SkewShape(lam, mu).is_basic():
-        raise ValueError(f"{case} parameters give a non-basic shape {lam}/{mu}")
+    values = {}
+    for k in names:
+        try:
+            values[k] = _as_int(params[k])
+        except TypeError:
+            raise ValueError(
+                f"{case} parameter {k} must be an integer, got {params[k]!r}"
+            ) from None
+    unmet = _unmet(case, values)
+    if unmet is not None:
+        raise ValueError(f"{case} requires {unmet}")
+    first, second = (Partition(p) for p in given(**values))
+    if case[0] == "Q":
+        lam = Partition(construct(**values))
+        return Witness(case, lam, first, second, constructed=lam, expected="exactly 2")
+    if not SkewShape(first, second).is_basic():
+        raise ValueError(f"{case} parameters give a non-basic shape {first}/{second}")
+    nu = Partition(construct(**values))
+    expected = "exactly 2" if case[0] == "T" else "at least 2"
+    return Witness(case, first, second, nu, constructed=nu, expected=expected)
 
 
 def product_witness(case, /, **params):
     """The tabulated lambda with coefficient exactly 2 for the (mu, nu) case."""
-    case = _norm_case(case, PRODUCT_WITNESS_CASES)
-    if case == "Q1":
-        a, b, c, d = _take(params, "a b c d", case)
-        _need(a > b > 0, "a > b > 0", case)
-        _need(c > d > 0, "c > d > 0", case)
-        mu, nu = Partition([a, b]), Partition([c, d])
-        lam = Partition([a + c - 1, b + d, 1])
-    elif case == "Q2":
-        a, b, c, d = _take(params, "a b c d", case)
-        _need(a > b > c > 0, "a > b > c > 0", case)
-        _need(d > 1, "d > 1", case)
-        mu, nu = Partition([a, b, c]), Partition([d, d])
-        lam = Partition([a + d - 1, b + d - 1, c + 1, 1])
-    else:  # Q3
-        a, b, c = _take(params, "a b c", case)
-        _need(a > b + 1, "a > b + 1", case)
-        _need(b > 1, "b > 1", case)
-        _need(c > 2, "c > 2", case)
-        mu, nu = Partition([a, a, b, b]), Partition([c, c, c])
-        lam = Partition([a + c - 1, a + c - 2, b + c - 1, b + 1, 2, 1])
-    return Witness(case, lam, mu, nu, constructed=lam, expected="exactly 2")
+    return _witness(case, PRODUCT_WITNESS_CASES, params)
 
 
 def skew_witness(case, /, **params):
     """The tabulated nu with coefficient exactly 2 for the (lam, mu) case."""
-    case = _norm_case(case, SKEW_WITNESS_CASES)
-    if case.startswith("T1"):
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        if case == "T1i":
-            _need(a > b, "a > b", case)
-            _need(b >= c + 1, "b >= c + 1", case)
-            _need(c + 1 >= d, "c + 1 >= d", case)
-            _need(d >= e + 1, "d >= e + 1", case)
-            _need(e >= 1, "e >= 1", case)
-            nu = Partition([a - 1, b - e, c - d + 1])
-        else:
-            _need(a > b, "a > b", case)
-            _need(b >= d, "b >= d", case)
-            _need(d >= c + 1, "d >= c + 1", case)
-            _need(c >= e, "c >= e", case)
-            _need(e >= 1, "e >= 1", case)
-            nu = Partition([a - 1, b + c - d - e + 1, 0])
-        lam, mu = Partition([a, b, c]), Partition([d, e])
-    elif case.startswith("T2"):
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        if case == "T2i":
-            _need(a > b > c, "a > b > c", case)
-            _need(c >= d + 1, "c >= d + 1", case)
-            _need(d + 1 >= e, "d + 1 >= e", case)
-            _need(e > 1, "e > 1", case)
-            nu = Partition([a - 1, b - 1, c - e + 1, d - e + 1])
-        else:
-            _need(a > b > c, "a > b > c", case)
-            _need(c >= e, "c >= e", case)
-            _need(e >= d + 1, "e >= d + 1", case)
-            _need(d >= 1, "d >= 1", case)
-            nu = Partition([a - 1, b + d - e, c - e + 1, 0])
-        lam, mu = Partition([a, b, c, d]), Partition([e, e])
-    else:
-        a, b, c, d = _take(params, "a b c d", case)
-        if case == "T3i":
-            _need(a - 1 > b, "a - 1 > b", case)
-            _need(b > c + 1, "b > c + 1", case)
-            _need(c + 1 >= d, "c + 1 >= d", case)
-            _need(d > 2, "d > 2", case)
-            nu = Partition([a - 1, a - 2, b - 1, b - d + 1, c - d + 2, c - d + 1])
-        else:
-            _need(a - 1 > b, "a - 1 > b", case)
-            _need(b > d, "b > d", case)
-            _need(d >= c + 1, "d >= c + 1", case)
-            _need(c + 1 > 2, "c + 1 > 2", case)
-            nu = Partition([a - 1, a + c - d - 1, b + c - d, b - d + 1, 1, 0])
-        lam, mu = Partition([a, a, b, b, c, c]), Partition([d, d, d])
-    _need_basic(lam, mu, case)
-    return Witness(case, lam, mu, nu, constructed=nu, expected="exactly 2")
-
-
-def _reduction_witness(family, sigma, tau):
-    """nu of the T-case construction for sigma/tau, normalized to basic first.
-
-    Deleting empty columns keeps the pair inside the same T-case family, so
-    the parameters are re-read off the reduced shape; when both subcase
-    chains hold, subcase (i) is used.
-    """
-    shape = SkewShape(sigma, tau).to_basic()
-    out, inn = shape.outer, shape.inner
-    if family == "T1":
-        a, b, c = out.padded(3)
-        d, e = inn.padded(2)
-        case = "T1i" if c + 1 >= d else "T1ii"
-        w = skew_witness(case, a=a, b=b, c=c, d=d, e=e)
-    elif family == "T2":
-        a, b, c, d = out.padded(4)
-        e1, e2 = inn.padded(2)
-        if e1 != e2:
-            raise ValueError(f"reduced inner {inn} is not a square for T2")
-        case = "T2i" if d + 1 >= e1 else "T2ii"
-        w = skew_witness(case, a=a, b=b, c=c, d=d, e=e1)
-    else:
-        p = out.padded(6)
-        q = inn.padded(3)
-        if p[0] != p[1] or p[2] != p[3] or p[4] != p[5] or len(set(q)) != 1:
-            raise ValueError(f"reduced pair {out}/{inn} is not of T3 form")
-        a, b, c, d = p[0], p[2], p[4], q[0]
-        case = "T3i" if c + 1 >= d else "T3ii"
-        w = skew_witness(case, a=a, b=b, c=c, d=d)
-    return w.nu
+    return _witness(case, SKEW_WITNESS_CASES, params)
 
 
 def lifted_witness(case, /, **params):
@@ -297,78 +300,7 @@ def lifted_witness(case, /, **params):
     as well) to reach a T-case pair, takes that witness, and lifts it back by
     the row/column monotonicity of the coefficients.
     """
-    case = _norm_case(case, LIFTED_WITNESS_CASES)
-    if case == "U1i":
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        _need(a > b > c > 0, "a > b > c > 0", case)
-        _need(d > e > 0, "d > e > 0", case)
-        _need(a > d, "a > d", case)
-        lam, mu = Partition([a, a, b, c]), Partition([d, e])
-        _need_basic(lam, mu, case)
-        if b > e:
-            rho = _reduction_witness("T1", Partition([a, b, c]), Partition([d, e]))
-            nu = union(rho, Partition([a]))
-        else:
-            rho = _reduction_witness("T1", Partition([a - 1, b, c]), Partition([d - 1, b - 1]))
-            nu = union(rho, Partition([a - 1]))
-    elif case == "U1ii":
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        _need(a > b > c > 0, "a > b > c > 0", case)
-        _need(d > e > 0, "d > e > 0", case)
-        _need(b > d, "b > d", case)
-        _need(c > e, "c > e", case)
-        lam, mu = Partition([a, b, c, c]), Partition([d, d, e])
-        _need_basic(lam, mu, case)
-        rho = _reduction_witness("T1", Partition([a, b, c]), Partition([d, e]))
-        nu = union(rho, Partition([c - d]))
-    elif case == "U2i":
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        _need(a > b > c > d > 0, "a > b > c > d > 0", case)
-        _need(a > e + 1 > 2, "a > e + 1 > 2", case)
-        lam, mu = Partition([a, a, b, c, d]), Partition([e, e])
-        _need_basic(lam, mu, case)
-        if b > e:
-            rho = _reduction_witness("T2", Partition([a, b, c, d]), Partition([e, e]))
-            nu = union(rho, Partition([a]))
-        else:
-            rho = _reduction_witness("T2", Partition([a - 1, b, c, d]), Partition([b - 1, b - 1]))
-            nu = union(rho, Partition([a - 1]))
-    elif case == "U2ii":
-        a, b, c, d, e = _take(params, "a b c d e", case)
-        _need(a > b > c > d > 0, "a > b > c > d > 0", case)
-        _need(c > e > 1, "c > e > 1", case)
-        _need(d > 1, "d > 1", case)
-        lam, mu = Partition([a, b, c, d, d]), Partition([e, e, e])
-        _need_basic(lam, mu, case)
-        rho = _reduction_witness("T2", Partition([a, b, c, d]), Partition([e, e]))
-        nu = union(rho, Partition([d - e]))
-    elif case == "U3i":
-        a, b, c, d = _take(params, "a b c d", case)
-        _need(a > b + 1, "a > b + 1", case)
-        _need(b > c + 1, "b > c + 1", case)
-        _need(c > 1, "c > 1", case)
-        _need(a > d + 2 > 4, "a > d + 2 > 4", case)
-        lam, mu = Partition([a, a, a, b, b, c, c]), Partition([d, d, d])
-        _need_basic(lam, mu, case)
-        if b > d:
-            rho = _reduction_witness("T3", Partition([a, a, b, b, c, c]), Partition([d, d, d]))
-            nu = union(rho, Partition([a]))
-        else:
-            rho = _reduction_witness(
-                "T3", Partition([a - 1, a - 1, b, b, c, c]), Partition([b - 1] * 3)
-            )
-            nu = union(rho, Partition([a - 1]))
-    else:  # U3ii
-        a, b, c, d = _take(params, "a b c d", case)
-        _need(a > b + 1, "a > b + 1", case)
-        _need(b > c + 1, "b > c + 1", case)
-        _need(c > 2, "c > 2", case)
-        _need(b > d + 1 > 3, "b > d + 1 > 3", case)
-        lam, mu = Partition([a, a, b, b, c, c, c]), Partition([d, d, d, d])
-        _need_basic(lam, mu, case)
-        rho = _reduction_witness("T3", Partition([a, a, b, b, c, c]), Partition([d, d, d]))
-        nu = union(rho, Partition([c - d]))
-    return Witness(case, lam, mu, nu, constructed=nu, expected="at least 2")
+    return _witness(case, LIFTED_WITNESS_CASES, params)
 
 
 def find_multiplicity_witness(expansion):

@@ -242,6 +242,8 @@ def _cmd_hives(args):
 
     lam, mu, nu, query = _lr_query(args)
     if args.n is not None:
+        if args.n < 0:
+            raise UsageError(f"hive side must be non-negative, got {args.n}")
         _check_weight(args.n, "hive side")
     n = args.n if args.n is not None else default_hive_side(lam, mu, nu)
     hives = enumerate_lr_hives(lam, mu, nu, n)

@@ -357,6 +357,8 @@ class TestDeterminismAndLimits:
              "bad box '3xa'; sides must be integers"),
             (None, ["mf", "skew"], "mf skew needs --shape"),
             (None, ["witness", "Q9", "--params", "a=1"], "unknown case 'Q9'; expected one of Q1, Q2, Q3"),
+            (None, ["hives", "--lambda", "0", "--mu", "0", "--nu", "0", "--n", "-1"],
+             "hive side must be non-negative, got -1"),
         ],
     )
     def test_usage_error_line(self, capsys, monkeypatch, weight_cap, argv, message):

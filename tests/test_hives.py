@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -294,6 +296,41 @@ class TestSymmetries:
                 >= base
             )
             done += 1
+
+
+def stretch(p, k):
+    return Partition([k * x for x in p.parts])
+
+
+class TestStretching:
+    """Theorems on c(N) = c_{N mu, N nu}^{N lam}, checking hive counts beyond tableaux."""
+
+    def test_polynomial_in_the_stretch(self):
+        # Derksen-Weyman, Rassart: c(N) is a polynomial in N of degree at most
+        # the hive polytope's dimension, (n - 1)(n - 2) / 2 = 10 on side n = 6
+        lam, mu, nu = P("6,5,4,3,1,1"), P("4,3,2,1"), P("4,3,2,1")
+        counts = [
+            lr_coefficient_hive(stretch(lam, k), stretch(mu, k), stretch(nu, k)) for k in range(12)
+        ]
+        assert counts[:7] == [1, 18, 160, 880, 3510, 11196, 30348]
+        # the interpolant through N = 0..10, in Lagrange form, at N = 11
+        predicted = sum(
+            counts[i] * prod(Fraction(11 - j, i - j) for j in range(11) if j != i) for i in range(11)
+        )
+        assert predicted == counts[11] == 1_079_728
+
+    def test_fulton_over_the_3x3_box(self):
+        # Knutson-Tao-Woodward: c = 1 keeps c(N) = 1; stretching is injective
+        # on hive points, so c(N) >= c always
+        terms = ones = 0
+        for mu, nu in itertools.product(partitions_in_box(3, 3), repeat=2):
+            for lam, c in product_expansion(mu, nu).terms():
+                terms += 1
+                ones += c == 1
+                for k in (2, 3):
+                    got = lr_coefficient_hive(stretch(lam, k), stretch(mu, k), stretch(nu, k))
+                    assert got == 1 if c == 1 else got >= c, (lam, mu, nu, k, got)
+        assert (terms, ones) == (3674, 3295)
 
 
 class TestFrontierCount:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product as iproduct
 
 import pytest
@@ -33,6 +34,9 @@ CASE_PARAMS = {
 }
 
 BUILDERS = {"Q": product_witness, "T": skew_witness, "U": lifted_witness}
+
+# SHA-256 of every outcome of test_every_outcome_over_small_parameters.
+OUTCOMES_DIGEST = "f05f5abd5c90f347c86fd6e57c6b5d5314164279f3632ac984942f3891fe440d"
 
 
 def grid_witnesses(case, max_param):
@@ -80,6 +84,12 @@ class TestProductWitnesses:
     def test_parameter_names_checked(self):
         with pytest.raises(ValueError):
             product_witness("Q3", a=4, b=2, c=3, d=1)
+
+    @pytest.mark.parametrize("value", [2.9, "3", None])
+    def test_non_integer_parameter_rejected(self, value):
+        # 2.9 is not truncated to 2, nor "3" read as 3
+        with pytest.raises(ValueError, match=f"^Q1 parameter a must be an integer, got {value!r}$"):
+            product_witness("Q1", a=value, b=1, c=2, d=1)
 
 
 class TestSkewWitnesses:
@@ -169,3 +179,17 @@ class TestGrids:
     def test_equal_parameter_branches_covered(self):
         u1i = grid_witnesses("U1i", 7)
         assert any(w.mu and w.lam.parts[2] == w.mu.parts[1] for w in u1i)
+
+
+def test_every_outcome_over_small_parameters():
+    """The witness or the exact error of every case, each parameter in 0..5."""
+    h = hashlib.sha256()
+    for case, names in CASE_PARAMS.items():
+        for vals in iproduct(range(6), repeat=len(names)):
+            try:
+                w = BUILDERS[case[0]](case, **dict(zip(names, vals)))
+                out = f"{w.lam} {w.mu} {w.nu} {w.constructed} {w.expected}"
+            except ValueError as exc:
+                out = str(exc)
+            h.update(f"{case} {vals} {out}\n".encode())
+    assert h.hexdigest() == OUTCOMES_DIGEST
