@@ -14,6 +14,7 @@ _EXPORTS = {
     "classify": (
         "MFVerdict",
         "Witness",
+        "build_witness",
         "find_multiplicity_witness",
         "gty_mf",
         "lifted_witness",

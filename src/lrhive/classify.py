@@ -13,7 +13,7 @@ verifiable by the hive engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import index as _as_int
 
@@ -26,11 +26,10 @@ SKEW_WITNESS_CASES = ("T1i", "T1ii", "T2i", "T2ii", "T3i", "T3ii")
 LIFTED_WITNESS_CASES = ("U1i", "U1ii", "U2i", "U2ii", "U3i", "U3ii")
 
 
-@dataclass(frozen=True)
-class MFVerdict:
+class MFVerdict(namedtuple("MFVerdict", "cases")):
     """Outcome of a classification: every case that fired; free iff one did."""
 
-    cases: frozenset
+    __slots__ = ()
 
     @property
     def multiplicity_free(self):
@@ -130,16 +129,10 @@ def skew_product_mf(theta, phi):
     return _verdict("V", False, factor(theta), factor(phi))
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A triple built to carry multiplicity, with its promised coefficient."""
+class Witness(namedtuple("Witness", "case_label lam mu nu constructed expected")):
+    """A triple built to carry multiplicity; expected is "exactly 2" or "at least 2"."""
 
-    case_label: str
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    constructed: Partition
-    expected: str  # "exactly 2" or "at least 2"
+    __slots__ = ()
 
     def verify(self):
         """Hive count of the witness triple."""
@@ -281,6 +274,11 @@ def _witness(case, known, params):
     nu = Partition(construct(**values))
     expected = "exactly 2" if case[0] == "T" else "at least 2"
     return Witness(case, first, second, nu, constructed=nu, expected=expected)
+
+
+def build_witness(case, /, **params):
+    """The witness of any tabulated case: Q, T or U, as its label names."""
+    return _witness(case, PRODUCT_WITNESS_CASES + SKEW_WITNESS_CASES + LIFTED_WITNESS_CASES, params)
 
 
 def product_witness(case, /, **params):

@@ -202,15 +202,10 @@ def _cmd_mf(args):
 
 
 def _cmd_witness(args):
-    from .classify import lifted_witness, product_witness, skew_witness
+    from .classify import build_witness
     from .partitions import format_partition
 
-    params = _parse_params(args.params or "")
-    builders = {"q": product_witness, "t": skew_witness, "u": lifted_witness}
-    key = args.case.replace("(", "").replace(")", "").lower()[:1]
-    if key not in builders:
-        raise UsageError(f"unknown witness case {args.case!r}")
-    witness = builders[key](args.case, **params)
+    witness = build_witness(args.case, **_parse_params(args.params or ""))
     _check_weight(witness.lam.weight)
     count = witness.verify()
     ok = witness.holds(count)

@@ -9,13 +9,13 @@ states are the terms.
 from __future__ import annotations
 
 from .hives import lr_coefficient_hive, lr_expansion_hive
-from .partitions import contains
+from .partitions import Partition, contains
 from .skew import SkewShape, star
 from .tableaux import lr_expansion, lr_tableau_count
 
 
 class Expansion:
-    """A finite map from partitions to positive coefficients, one weight."""
+    """A finite map from partitions to positive coefficients, one weight, keyed by parts."""
 
     __slots__ = ("_coeffs",)
 
@@ -27,11 +27,18 @@ class Expansion:
         for p, c in coeffs.items():
             if c < 1:
                 raise ValueError(f"coefficient of {p} must be positive, got {c}")
-        self._coeffs = coeffs
+        self._coeffs = {p.parts: c for p, c in coeffs.items()}
+
+    @classmethod
+    def _of(cls, raw):
+        """Trusted construction from an engine's {parts tuple: positive count}."""
+        e = object.__new__(cls)
+        e._coeffs = raw
+        return e
 
     def terms(self):
         """(partition, coefficient) pairs in decreasing lexicographic order."""
-        return sorted(self._coeffs.items(), key=lambda t: t[0].parts, reverse=True)
+        return [(Partition._of(t), c) for t, c in sorted(self._coeffs.items(), reverse=True)]
 
     def max_multiplicity(self):
         return max(self._coeffs.values(), default=0)
@@ -45,18 +52,18 @@ class Expansion:
         total = {}
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():
-                for r, c in product_expansion(p, q).terms():
+                for r, c in product_expansion(Partition._of(p), Partition._of(q))._coeffs.items():
                     total[r] = total.get(r, 0) + cp * cq * c
-        return Expansion(total)
+        return Expansion._of(total)
 
     def __getitem__(self, p):
-        return self._coeffs.get(p, 0)
+        return self._coeffs.get(p.parts, 0)
 
     def __contains__(self, p):
-        return p in self._coeffs
+        return p.parts in self._coeffs
 
     def __iter__(self):
-        return iter(sorted(self._coeffs, key=lambda p: p.parts, reverse=True))
+        return (Partition._of(t) for t in sorted(self._coeffs, reverse=True))
 
     def __len__(self):
         return len(self._coeffs)
@@ -65,7 +72,7 @@ class Expansion:
         if isinstance(other, Expansion):
             return self._coeffs == other._coeffs
         if isinstance(other, dict):
-            return self._coeffs == other
+            return self._coeffs == {p.parts: c for p, c in other.items()}
         return NotImplemented
 
     def __repr__(self):
@@ -98,9 +105,9 @@ def skew_expansion(shape, method="hive"):
     len(outer) with the nu side free.
     """
     if method == "tableau":
-        return Expansion(lr_expansion(shape.outer, shape.inner))
+        return Expansion._of(lr_expansion(shape.outer, shape.inner))
     if method == "hive":
-        return Expansion(lr_expansion_hive(shape.outer, shape.inner))
+        return Expansion._of(lr_expansion_hive(shape.outer, shape.inner))
     raise ValueError(f"unknown method {method!r}")
 
 

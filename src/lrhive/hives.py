@@ -10,11 +10,10 @@ inequalities need checking.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, groupby, pairwise
-from operator import itemgetter
+from itertools import accumulate, groupby
+from operator import itemgetter, sub
 
 from .partitions import Partition
 
@@ -62,20 +61,21 @@ class Hive:
         return f"Hive({self.n}, {self.rows!r})"
 
 
-@dataclass(frozen=True)
-class HiveBoundary:
+class HiveBoundary(namedtuple("HiveBoundary", "n lam mu nu")):
     """Boundary data (lam, mu, nu) padded onto a side-n triangle."""
 
-    n: int
-    lam: Partition
-    mu: Partition
-    nu: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        if max(self.lam.length, self.mu.length, self.nu.length) > self.n:
+    def __new__(cls, n, lam, mu, nu):
+        if max(lam.length, mu.length, nu.length) > n:
             raise ValueError("partition lengths must not exceed n")
-        if self.lam.weight != self.mu.weight + self.nu.weight:
+        if lam.weight != mu.weight + nu.weight:
             raise ValueError("|mu| + |nu| must equal |lambda|")
+        return super().__new__(cls, n, lam, mu, nu)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def vertex_labels(self):
         """Boundary assignments: {(i, j): label} on the three triangle sides."""
@@ -116,13 +116,10 @@ def _rhombus_inequalities(n, vid):
     return ineqs
 
 
-@dataclass(frozen=True)
-class _Step:
-    vid: int
-    lower_singles: tuple
-    upper_singles: tuple
-    lower_triples: tuple  # (x, y, z): value >= vals[x] + vals[y] - vals[z]
-    upper_triples: tuple  # (x, y, z): value <= vals[x] + vals[y] - vals[z]
+# lower_triples hold (x, y, z) with value >= vals[x] + vals[y] - vals[z],
+# upper_triples those with value <= vals[x] + vals[y] - vals[z].
+class _Step(namedtuple("_Step", "vid lower_singles upper_singles lower_triples upper_triples")):
+    __slots__ = ()
 
     def reads(self):
         """Every vertex whose label bounds this step."""
@@ -132,19 +129,11 @@ class _Step:
         return out
 
 
-@dataclass(frozen=True)
-class _Plan:
-    scan_order: str
-    keep: bool
-    size: int
-    vid: dict
-    sides: tuple  # vertex ids of the lam, nu and mu sides, as _sides lists them
-    boundary_checks: tuple
-    all_ineqs: tuple
-    # One (steps, key) pair per walked row: the row's steps, and the vertices
-    # whose labels identify a partial hive after it.
-    rows: tuple
-    walkers: tuple  # each row compiled by _compile_row, in order
+# sides holds the vertex ids of the lam, nu and mu sides, as _sides lists
+# them; rows one (steps, key) pair per walked row: the row's steps, and the
+# vertices whose labels identify a partial hive after it; walkers each row
+# compiled by _compile_row, in order.
+_Plan = namedtuple("_Plan", "scan_order keep size vid sides boundary_checks all_ineqs rows walkers")
 
 
 @lru_cache(maxsize=None)
@@ -472,19 +461,24 @@ def lr_coefficient_hive(lam, mu, nu):
 
 
 def lr_expansion_hive(lam, mu):
-    """{nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam.
+    """{parts of nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam.
 
     The nu side's weight, as a one-row partition, sets its corner labels.
     The walk assigns the rest of the nu side last, right to left, in one or
     more rows, and the plan leads every key from the first of them on with
     the nu labels assigned so far, in side order, so each final key holds
-    the inner partial sums of one term.
+    the inner partial sums of one term.  Concave boundaries keep the parts
+    weakly decreasing, so the zeros trimmed from a term are its last.
     """
     top = lam.weight - mu.weight
     walked = _by_rows(lam, mu, Partition([top]), lam.length, "free-nu")
     if walked is None:
         return {}
-    return {Partition(b - a for a, b in pairwise((0, *labels, top))): c for labels, c in walked[2].items()}
+    terms = {}
+    for labels, c in walked[2].items():
+        parts = tuple(map(sub, (*labels, top), (0, *labels)))
+        terms[parts[:len(parts) - parts.count(0)]] = c
+    return terms
 
 
 def is_valid_lr_hive(hive, boundary):

@@ -9,8 +9,7 @@ box explicitly and pad with zeros internally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import groupby
+from collections import namedtuple
 from operator import index as _as_int
 
 
@@ -34,6 +33,13 @@ class Partition:
         while vals and vals[-1] == 0:
             vals.pop()
         self.parts = tuple(vals)
+
+    @classmethod
+    def _of(cls, parts):
+        """Trusted construction from a tuple already weakly decreasing and positive."""
+        p = object.__new__(cls)
+        p.parts = parts
+        return p
 
     @property
     def weight(self):
@@ -148,24 +154,20 @@ def complement(p, m, n):
     """The m^n-complement: part k is m minus part n+1-k of the padded p."""
     if not fits_in_box(p, m, n):
         raise ValueError(f"{p} does not fit in a {m}x{n} box")
-    padded = p.padded(n)
-    return Partition(m - padded[n - 1 - k] for k in range(n))
+    m = _as_int(m)
+    parts = tuple(m - v for v in reversed(p.padded(n)))
+    return Partition._of(parts[:n - parts.count(0)])
 
 
-def _runs(values):
-    """Maximal runs of equal values, as (value, run length) pairs in order."""
-    return [(v, len(list(g))) for v, g in groupby(values)]
-
-
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(
+    namedtuple(
+        "ShapeClass",
+        "is_rectangle is_one_line_rectangle is_two_line_rectangle is_fat_hook is_near_rectangle",
+    )
+):
     """Structure flags used by the multiplicity-free classifications."""
 
-    is_rectangle: bool
-    is_one_line_rectangle: bool
-    is_two_line_rectangle: bool
-    is_fat_hook: bool
-    is_near_rectangle: bool
+    __slots__ = ()
 
 
 def shape_class(p, m, n):
@@ -184,12 +186,10 @@ def shape_class(p, m, n):
     return ShapeClass(rect, rect and short == 1, rect and short == 2, fat, fat and short == 1)
 
 
-@dataclass(frozen=True)
-class SegmentSeq:
+class SegmentSeq(namedtuple("SegmentSeq", "segments starts_vertical")):
     """Straight-segment lengths of a boundary lattice path inside a box."""
 
-    segments: tuple
-    starts_vertical: bool
+    __slots__ = ()
 
 
 def boundary_segments(p, m, n):
@@ -203,20 +203,16 @@ def boundary_segments(p, m, n):
         raise ValueError("box sides must be positive")
     if not fits_in_box(p, m, n):
         raise ValueError(f"{p} does not fit in a {m}x{n} box")
-    runs = _runs(p.padded(n)[::-1])
-    segments = []
-    starts_vertical = runs[0][0] == 0
-    if not starts_vertical:
-        segments.append(runs[0][0])
-    prev = runs[0][0]
-    for idx, (v, k) in enumerate(runs):
-        if idx > 0:
-            segments.append(v - prev)
+    # Rows bottom to top: a rise in the part is a horizontal run, a repeat
+    # lengthens the vertical run.  Only the first and last runs can be empty.
+    segments, prev = [], 0
+    for v in reversed(p.padded(n)):
+        if v > prev or not segments:
+            segments += (v - prev, 0)
             prev = v
-        segments.append(k)
-    if m - prev > 0:
-        segments.append(m - prev)
-    return SegmentSeq(tuple(segments), starts_vertical)
+        segments[-1] += 1
+    segments.append(m - prev)
+    return SegmentSeq(tuple(s for s in segments if s), segments[0] == 0)
 
 
 def shortness(p, m, n):
@@ -257,7 +253,7 @@ def bounded_partitions(weight, outer=None):
     """
     cap = (weight,) * weight if outer is None else outer.parts
     for parts in _walk(cap, weight):
-        yield Partition(parts)
+        yield Partition._of(parts)
 
 
 def partitions_in_box(m, n):
@@ -271,4 +267,4 @@ def partitions_in_box(m, n):
 def subpartitions(p):
     """All partitions contained in p, including 0 and p itself."""
     for parts in _walk(p.parts):
-        yield Partition(parts)
+        yield Partition._of(parts)

@@ -117,7 +117,8 @@ class SkewShape:
 def _basic_cap(lam):
     """Largest mu with lam/mu basic (no empty row or column): mu_r = min(lam_r - 1, lam_{r+1})."""
     below = lam.parts[1:] + (0,)
-    return Partition(min(a - 1, b) for a, b in zip(lam.parts, below))
+    parts = tuple(min(a - 1, b) for a, b in zip(lam.parts, below))
+    return Partition._of(parts[:len(parts) - parts.count(0)])
 
 
 def star(theta, phi):

@@ -13,7 +13,7 @@ from itertools import product
 
 from .classify import gty_mf, stembridge_mf
 from .expansions import product_expansion, skew_expansion
-from .partitions import partitions_in_box, subpartitions
+from .partitions import Partition, _walk, partitions_in_box
 from .skew import SkewShape, _basic_cap, format_skew_shape
 
 
@@ -59,9 +59,12 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
             instances = [(parts[j // n], parts[j % n]) for j in picks]
         classify, expand, key = stembridge_mf, product_expansion, _product_key
     elif family == "skews":
-        instances = [(SkewShape(lam, mu),) for lam in parts for mu in subpartitions(_basic_cap(lam))]
+        # (lam, parts of mu) in shape order; only the shapes run are built
+        pairs = ((lam, mu) for lam in parts for mu in _walk(_basic_cap(lam).parts))
         if sample is not None:
-            instances = random.Random(seed).sample(instances, min(sample, len(instances)))
+            pairs = list(pairs)
+            pairs = random.Random(seed).sample(pairs, min(sample, len(pairs)))
+        instances = ((SkewShape(lam, Partition._of(mu)),) for lam, mu in pairs)
         classify, expand, key = gty_mf, skew_expansion, _skew_key
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import Partition, contains
+from .partitions import contains
 from .skew import SkewShape
 
 
@@ -128,6 +128,10 @@ def lr_tableau_count(lam, mu, nu):
 
 
 def lr_expansion(lam, mu):
-    """{nu: number of LR fillings of lam/mu with content nu}, in one walk; mu inside lam."""
+    """{parts of nu: number of LR fillings of lam/mu with content nu}, in one walk; mu inside lam."""
     cap = (lam.weight,) * lam.length
-    return {Partition(content[1:]): n for (content, _, _), n in _by_rows(lam, mu, cap, False).items()}
+    terms = {}
+    for (content, _, _), n in _by_rows(lam, mu, cap, False).items():
+        nu = content[1:]  # weakly decreasing, as the word is lattice
+        terms[nu[:len(nu) - nu.count(0)]] = n
+    return terms

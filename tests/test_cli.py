@@ -34,6 +34,24 @@ def record_product_pairs(monkeypatch):
     return seen
 
 
+def record_skew_shapes(monkeypatch):
+    """Record each shape a skew sweep classifies; its expansions are skipped."""
+    seen = []
+
+    def recording(shape):
+        seen.append(shape)
+        return lrhive.classify.gty_mf(shape)
+
+    monkeypatch.setattr(sweep, "gty_mf", recording)
+    monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: Expansion())
+    return seen
+
+
+def basic_shapes(box):
+    shapes = (SkewShape(lam, mu) for lam in partitions_in_box(*box) for mu in subpartitions(lam))
+    return [shape for shape in shapes if shape.is_basic()]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -261,18 +279,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("box", [(0, 3), (3, 3), (4, 4), (5, 6)])
     def test_skew_instances_are_the_basic_shapes_in_order(self, monkeypatch, box):
-        seen = []
-
-        def recording(shape):
-            seen.append(shape)
-            return lrhive.classify.gty_mf(shape)
-
-        monkeypatch.setattr(sweep, "gty_mf", recording)
-        # only the instances and their order are under test, so skip the expansions
-        monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: Expansion())
+        seen = record_skew_shapes(monkeypatch)
         verify_sweep("skews", box)
-        shapes = (SkewShape(lam, mu) for lam in partitions_in_box(*box) for mu in subpartitions(lam))
-        assert seen == [shape for shape in shapes if shape.is_basic()]
+        assert seen == basic_shapes(box)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("box", [(3, 3), (5, 6)])
+    def test_sampled_skew_shapes_are_the_listed_sample(self, monkeypatch, box, seed):
+        # the sweep samples (lam, parts of mu) pairs; the picks must be those of the shape list
+        seen = record_skew_shapes(monkeypatch)
+        verify_sweep("skews", box, sample=40, seed=seed)
+        assert seen == random.Random(seed).sample(basic_shapes(box), 40)
 
     def test_full_product_sweep_runs_every_pair_in_order(self, monkeypatch):
         seen = record_product_pairs(monkeypatch)
@@ -356,7 +373,9 @@ class TestDeterminismAndLimits:
             (None, ["verify", "--family", "products", "--box", "3xa"],
              "bad box '3xa'; sides must be integers"),
             (None, ["mf", "skew"], "mf skew needs --shape"),
-            (None, ["witness", "Q9", "--params", "a=1"], "unknown case 'Q9'; expected one of Q1, Q2, Q3"),
+            (None, ["witness", "Q9", "--params", "a=1"],
+             "unknown case 'Q9'; expected one of Q1, Q2, Q3, T1i, T1ii, T2i, T2ii, T3i, T3ii, "
+             "U1i, U1ii, U2i, U2ii, U3i, U3ii"),
             (None, ["hives", "--lambda", "0", "--mu", "0", "--nu", "0", "--n", "-1"],
              "hive side must be non-negative, got -1"),
         ],
@@ -409,3 +428,14 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "['lrhive', 'lrhive.cli']"
+
+    def test_sweeps_load_neither_dataclasses_nor_inspect(self):
+        # the records are named tuples; dataclasses would also import inspect, ast and dis
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import lrhive.sweep, lrhive.expansions\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

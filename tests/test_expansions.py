@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrhive.classify import gty_mf, stembridge_mf
 from lrhive.expansions import (
     Expansion,
     duality_check,
@@ -18,7 +21,7 @@ from lrhive.partitions import (
     partitions_in_box,
     subpartitions,
 )
-from lrhive.skew import SkewShape, parse_skew_shape
+from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -305,3 +308,30 @@ class TestDispatch:
             product_expansion(P("1"), P("1"), method="magic")
         with pytest.raises(ValueError):
             skew_expansion(S("2,1/1"), method="magic")
+
+
+# SHA-256 of the terms, in order, of every product in the 4x4 box (hives) and
+# of every lam/mu in the 5x5 box (both engines), with the case labels of each
+# product and of each basic shape.
+TERMS_DIGEST = "8491a2861f62a500fa6025739429bddcaccb0cef55b872c4ec616add8eeafe0e"
+
+
+def test_terms_over_whole_boxes():
+    h = hashlib.sha256()
+
+    def put(*names, expansion, cases):
+        terms = " ".join(f"{p}:{c}" for p, c in expansion.terms())
+        h.update(f"{' '.join(names)} | {terms} | {cases}\n".encode())
+
+    box = partitions_in_box(4, 4)
+    for mu in box:
+        for nu in box:
+            cases = ",".join(stembridge_mf(mu, nu).sorted_cases())
+            put(str(mu), str(nu), expansion=product_expansion(mu, nu), cases=cases)
+    for lam in partitions_in_box(5, 5):
+        for mu in subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            cases = ",".join(gty_mf(shape).sorted_cases()) if shape.is_basic() else "not basic"
+            for method in ("hive", "tableau"):
+                put(format_skew_shape(shape), method, expansion=skew_expansion(shape, method), cases=cases)
+    assert h.hexdigest() == TERMS_DIGEST

@@ -1,6 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lrhive import sweep
+from lrhive.expansions import Expansion
+from lrhive.hives import lr_expansion_hive
 from lrhive.partitions import (
     Partition,
     WeightCapError,
@@ -18,6 +21,8 @@ from lrhive.partitions import (
     subpartitions,
     union,
 )
+from lrhive.skew import _basic_cap
+from lrhive.tableaux import lr_expansion
 
 P = parse_partition
 
@@ -187,6 +192,11 @@ class TestComplement:
         with pytest.raises(ValueError):
             complement(P("1,1,1,1"), 3, 3)
 
+    def test_rejects_a_non_integer_side(self):
+        # the complement's parts are built unchecked, so the side is checked
+        with pytest.raises(TypeError):
+            complement(P("1"), 2.5, 2)
+
     def test_involution_and_weight(self):
         for m in range(1, 5):
             for n in range(1, 5):
@@ -337,3 +347,47 @@ class TestGenerators:
         assert sum(1 for _ in subpartitions(Partition([1] * 1200))) == 1201
         column = Partition([1] * 1100)
         assert list(bounded_partitions(1100, column)) == [column]
+
+
+def canonical(parts):
+    """True iff the checking constructor keeps parts as they are."""
+    return type(parts) is tuple and Partition(parts).parts == parts
+
+
+class TestTrustedProducers:
+    """Each producer that builds partitions unchecked gives what the checks would.
+
+    A trailing zero, a rise or a non-tuple fails: Partition(...) strips,
+    rejects or converts it.
+    """
+
+    def test_engine_terms_over_the_5x5_box(self):
+        shapes = 0
+        for lam in partitions_in_box(5, 5):
+            for mu in subpartitions(lam):
+                for terms in (lr_expansion_hive(lam, mu), lr_expansion(lam, mu)):
+                    assert terms and all(canonical(t) for t in terms), (lam, mu)
+                shapes += 1
+        assert shapes == 19404
+
+    def test_box_maps_up_to_6x6(self):
+        for m in range(7):
+            for n in range(7):
+                for p in partitions_in_box(m, n):
+                    assert canonical(complement(p, m, n).parts), (p, m, n)
+                    assert canonical(_basic_cap(p).parts), p
+
+    def test_generators(self):
+        for lam in partitions_in_box(5, 5):
+            assert all(canonical(mu.parts) for mu in subpartitions(lam)), lam
+            assert all(canonical(p.parts) for p in bounded_partitions(lam.weight, lam)), lam
+        for w in range(13):
+            assert all(canonical(p.parts) for p in bounded_partitions(w)), w
+
+    @pytest.mark.parametrize("box, sample", [((5, 5), None), ((5, 6), 500)])
+    def test_skew_sweep_picks(self, monkeypatch, box, sample):
+        seen = []
+        monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: seen.append(shape) or Expansion())
+        sweep.verify_sweep("skews", box, sample=sample, seed=1)
+        assert len(seen) == (5097 if sample is None else sample)
+        assert all(canonical(s.outer.parts) and canonical(s.inner.parts) for s in seen)

@@ -7,6 +7,7 @@ from lrhive.classify import (
     LIFTED_WITNESS_CASES,
     PRODUCT_WITNESS_CASES,
     SKEW_WITNESS_CASES,
+    build_witness,
     lifted_witness,
     product_witness,
     skew_witness,
@@ -193,3 +194,26 @@ def test_every_outcome_over_small_parameters():
                 out = str(exc)
             h.update(f"{case} {vals} {out}\n".encode())
     assert h.hexdigest() == OUTCOMES_DIGEST
+
+
+class TestBuildWitness:
+    @staticmethod
+    def outcome(build, case, params):
+        try:
+            return build(case, **params)
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
+    def test_any_label_gives_its_familys_outcome(self, case):
+        names = CASE_PARAMS[case]
+        for vals in iproduct(range(1, 5), repeat=len(names)):
+            params = dict(zip(names, vals))
+            assert self.outcome(build_witness, case, params) == self.outcome(BUILDERS[case[0]], case, params)
+
+    @pytest.mark.parametrize("label", ["X9", "Q9", "t4", "U(9)"])
+    def test_unknown_labels_share_one_message(self, label):
+        known = ", ".join(PRODUCT_WITNESS_CASES + SKEW_WITNESS_CASES + LIFTED_WITNESS_CASES)
+        with pytest.raises(ValueError) as exc:
+            build_witness(label, a=1)
+        assert str(exc.value) == f"unknown case {label!r}; expected one of {known}"
