@@ -17,7 +17,6 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import index as _as_int
 
-from .hives import lr_coefficient_hive
 from .partitions import Partition, complement, shape_class, union
 from .skew import SkewShape
 
@@ -136,6 +135,8 @@ class Witness(namedtuple("Witness", "case_label lam mu nu constructed expected")
 
     def verify(self):
         """Hive count of the witness triple."""
+        from .hives import lr_coefficient_hive
+
         return lr_coefficient_hive(self.lam, self.mu, self.nu)
 
     def holds(self, count):

@@ -9,14 +9,14 @@ HIVE_LR_MAX_WEIGHT (default 40) caps the weight of every partition argument,
 checked before the partition is built, the total weight a single query may
 ask for, and the side of a `hives --n` triangle.
 
-Each command imports the parts of the library it uses when it runs, so that
-building the parser (and `lrhive --help`) loads none of them.
+Each command imports the parts of the library it uses when it runs, and json
+only where it prints JSON, so that building the parser (and `lrhive --help`)
+loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -86,6 +86,8 @@ def _parse_box(text):
 def _show(args, payload, lines):
     """Print the JSON payload or the text lines, as --format asks."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -275,8 +277,11 @@ def _cmd_verify(args):
         f"instances: {report.instances}",
         f"agree: {report.agreements}",
         f"disagree: {report.disagree}",
-        *(f"disagreement: {json.dumps(d)}" for d in report.disagreements),
     ]
+    if report.disagreements:
+        import json
+
+        lines += (f"disagreement: {json.dumps(d)}" for d in report.disagreements)
     _show(args, payload, lines)
     return 1 if report.disagreements else 0
 

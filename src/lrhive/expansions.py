@@ -8,16 +8,20 @@ states are the terms.
 
 from __future__ import annotations
 
-from .hives import lr_coefficient_hive, lr_expansion_hive
 from .partitions import Partition, contains
 from .skew import SkewShape, star
-from .tableaux import lr_expansion, lr_tableau_count
 
 
 class Expansion:
-    """A finite map from partitions to positive coefficients, one weight, keyed by parts."""
+    """A finite map from partitions to positive coefficients, one weight, keyed by parts.
 
-    __slots__ = ("_coeffs",)
+    An engine's expansion holds the walk's final states as they came, with
+    the function that gives each state's parts; the terms are built from
+    them the first time one is read.  max_multiplicity() and len() read the
+    states, so a sweep builds no term.
+    """
+
+    __slots__ = ("_raw", "_parts")
 
     def __init__(self, coeffs=()):
         coeffs = dict(coeffs)
@@ -27,21 +31,36 @@ class Expansion:
         for p, c in coeffs.items():
             if c < 1:
                 raise ValueError(f"coefficient of {p} must be positive, got {c}")
-        self._coeffs = {p.parts: c for p, c in coeffs.items()}
+        self._raw = {p.parts: c for p, c in coeffs.items()}
+        self._parts = None
 
     @classmethod
-    def _of(cls, raw):
-        """Trusted construction from an engine's {parts tuple: positive count}."""
+    def _of(cls, raw, parts=None):
+        """Trusted construction from an engine's {state: positive count}.
+
+        parts(state) is the state's term as a parts tuple, one term per
+        state; None means the states are parts tuples already.
+        """
         e = object.__new__(cls)
-        e._coeffs = raw
+        e._raw = raw
+        e._parts = parts
         return e
+
+    @property
+    def _coeffs(self):
+        """{parts tuple: coefficient}, converted from the states on first read."""
+        if self._parts is not None:
+            parts = self._parts
+            self._raw = {parts(state): c for state, c in self._raw.items()}
+            self._parts = None
+        return self._raw
 
     def terms(self):
         """(partition, coefficient) pairs in decreasing lexicographic order."""
         return [(Partition._of(t), c) for t, c in sorted(self._coeffs.items(), reverse=True)]
 
     def max_multiplicity(self):
-        return max(self._coeffs.values(), default=0)
+        return max(self._raw.values(), default=0)
 
     def multiply(self, other):
         """The product of the two symmetric functions, as an expansion.
@@ -66,7 +85,7 @@ class Expansion:
         return (Partition._of(t) for t in sorted(self._coeffs, reverse=True))
 
     def __len__(self):
-        return len(self._coeffs)
+        return len(self._raw)
 
     def __eq__(self, other):
         if isinstance(other, Expansion):
@@ -83,8 +102,12 @@ class Expansion:
 def lr_coefficient(lam, mu, nu, method="hive"):
     """Single coefficient by the chosen engine."""
     if method == "hive":
+        from .hives import lr_coefficient_hive
+
         return lr_coefficient_hive(lam, mu, nu)
     if method == "tableau":
+        from .tableaux import lr_tableau_count
+
         return lr_tableau_count(lam, mu, nu)
     raise ValueError(f"unknown method {method!r}")
 
@@ -102,13 +125,16 @@ def skew_expansion(shape, method="hive"):
     """Expansion of the skew Schur function of the given shape.
 
     By tableaux: one walk over the shape.  By hives: one walk on the side
-    len(outer) with the nu side free.
+    len(outer) with the nu side free.  Each engine is imported by the
+    branch that walks it.
     """
     if method == "tableau":
-        return Expansion._of(lr_expansion(shape.outer, shape.inner))
-    if method == "hive":
-        return Expansion._of(lr_expansion_hive(shape.outer, shape.inner))
-    raise ValueError(f"unknown method {method!r}")
+        from .tableaux import lr_expansion_states
+    elif method == "hive":
+        from .hives import lr_expansion_states
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return Expansion._of(*lr_expansion_states(shape.outer, shape.inner))
 
 
 def duality_check(lam, mu, nu):

@@ -151,7 +151,8 @@ def _plan(n, scan_order, keep, /):
     Each row's key is the frontier, the labels later rows still read; from
     the free side on it is led by the free labels assigned so far, in side
     order, and with keep it is every label assigned so far, so nothing
-    merges.  Every row is compiled once, here.
+    merges.  Every row's walk is built once, here, from a source that
+    rows of one shape share (see _compile_row).
     """
     vid = {}
     k = 0
@@ -315,19 +316,28 @@ def _compile_row(row_steps, carried, key):
     per value.  On CPython 3.11 a while loop that runs once costs about
     50 ns against 230 ns for a one-value range loop, and a four-term
     if-chain about 100 ns against 290 ns for max() over the same terms.
-    The source holds only vertex ids and fixed names.
+
+    The source names each label by its role, not its vertex id: c0, c1, ...
+    the carried labels in key order, s0, s1, ... the row's steps, and b0,
+    b1, ... the boundary labels it reads, in id order.  It defines
+    make(b0, b1, ...), which binds the boundary ids and returns the walk,
+    so rows of one shape on different sides share one compiled source.
     """
+    name = {u: f"c{i}" for i, u in enumerate(carried)}
+    name.update((step.vid, f"s{t}") for t, step in enumerate(row_steps))
+    reads = sorted(set().union(*(step.reads() for step in row_steps)) - name.keys())
+    name.update((u, f"b{i}") for i, u in enumerate(reads))
     # the level that sets each label: 0 for boundary labels, 1 for the
     # carried ones, t + 2 for the label of step t
     level = {u: 1 for u in carried}
     level.update((step.vid, t + 2) for t, step in enumerate(row_steps))
     code = [[] for _ in range(len(row_steps) + 1)]  # each level's lines, before its loop
 
-    def bound(name, start, terms, better):  # the name or value the step's loop reads
+    def bound(bound_name, start, terms, better):  # the name or value the step's loop reads
         at_level = itemgetter(0)
         for at, group in groupby(sorted(terms, key=at_level), key=at_level):
-            code[at].append(f"{name}_{at} = {start}")
-            start = f"{name}_{at}"
+            code[at].append(f"{bound_name}_{at} = {start}")
+            start = f"{bound_name}_{at}"
             for _, expr in group:
                 if expr.isidentifier():  # one label needs no temporary
                     code[at].append(f"if {expr} {better} {start}: {start} = {expr}")
@@ -336,41 +346,48 @@ def _compile_row(row_steps, carried, key):
         return start
 
     def terms(singles, triples):  # (level, expression) of each term of one bound
-        return [(level.get(u, 0), f"v{u}") for u in singles] + [
-            (max(level.get(u, 0) for u in (x, y, z)), f"v{x} + v{y} - v{z}") for x, y, z in triples
+        return [(level.get(u, 0), f"v{name[u]}") for u in singles] + [
+            (max(level.get(u, 0) for u in (x, y, z)), f"v{name[x]} + v{name[y]} - v{name[z]}")
+            for x, y, z in triples
         ]
 
     bounds = [
         (
-            bound(f"lo{step.vid}", "0", terms(step.lower_singles, step.lower_triples), ">"),
-            bound(f"hi{step.vid}", "cap", terms(step.upper_singles, step.upper_triples), "<"),
+            bound(f"lo{t}", "0", terms(step.lower_singles, step.lower_triples), ">"),
+            bound(f"hi{t}", "cap", terms(step.upper_singles, step.upper_triples), "<"),
         )
-        for step in row_steps
+        for t, step in enumerate(row_steps)
     ]
 
     def labels(vids):  # a tuple display of the vertices' labels
-        return "(" + "".join(f"v{u}, " for u in vids) + ")"
+        return "(" + "".join(f"v{name[u]}, " for u in vids) + ")"
 
-    reads = set().union(*(step.reads() for step in row_steps))
-    lines = ["def walk(frontier, vals, cap):"]
-    lines += [f"    v{u} = vals[{u}]" for u in sorted(reads - level.keys())]
-    lines += ["    reached = {}", "    get = reached.get"]
-    lines += ["    " + line for line in code[0]]
-    lines.append(f"    for {labels(carried) if carried else '_'}, mult in frontier.items():")
-    indent = "        "
+    lines = [f"def make({', '.join(name[u] for u in reads)}):", "    def walk(frontier, vals, cap):"]
+    lines += [f"        v{name[u]} = vals[{name[u]}]" for u in reads]
+    lines += ["        reached = {}", "        get = reached.get"]
+    lines += ["        " + line for line in code[0]]
+    lines.append(f"        for {labels(carried) if carried else '_'}, mult in frontier.items():")
+    indent = "            "
     for step, at, (lo, hi) in zip(row_steps, code[1:], bounds):
+        v = f"v{name[step.vid]}"
         lines += [indent + line for line in at]
-        lines += [f"{indent}v{step.vid} = {lo}", f"{indent}while v{step.vid} <= {hi}:"]
+        lines += [f"{indent}{v} = {lo}", f"{indent}while {v} <= {hi}:"]
         indent += "    "
     lines.append(f"{indent}k = {labels(key)}")
     lines.append(f"{indent}reached[k] = get(k, 0) + mult")
     for step in reversed(row_steps):
-        lines.append(f"{indent}v{step.vid} += 1")
+        lines.append(f"{indent}v{name[step.vid]} += 1")
         indent = indent[:-4]
-    lines.append("    return reached")
+    lines += ["        return reached", "    return walk"]
+    return _row_factory("\n".join(lines))(*reads)
+
+
+@lru_cache(maxsize=None)
+def _row_factory(source):
+    """The make function a row's source defines, compiled once per distinct source."""
     namespace = {}
-    exec(compile("\n".join(lines), "<hive row>", "exec"), namespace)
-    return namespace["walk"]
+    exec(compile(source, "<hive row>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _by_rows(lam, mu, nu, n, scan_order, keep=False):
@@ -461,24 +478,30 @@ def lr_coefficient_hive(lam, mu, nu):
 
 
 def lr_expansion_hive(lam, mu):
-    """{parts of nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam.
+    """{parts of nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam."""
+    states, parts = lr_expansion_states(lam, mu)
+    return {parts(labels): c for labels, c in states.items()}
+
+
+def lr_expansion_states(lam, mu):
+    """The final states of lam/mu's free-side walk, and the function giving each one's term.
 
     The nu side's weight, as a one-row partition, sets its corner labels.
     The walk assigns the rest of the nu side last, right to left, in one or
     more rows, and the plan leads every key from the first of them on with
     the nu labels assigned so far, in side order, so each final key holds
-    the inner partial sums of one term.  Concave boundaries keep the parts
-    weakly decreasing, so the zeros trimmed from a term are its last.
+    the inner partial sums of one term, counted by its number.  The parts
+    are their differences; concave boundaries keep them weakly decreasing,
+    so the zeros trimmed from a term are its last.
     """
     top = lam.weight - mu.weight
-    walked = _by_rows(lam, mu, Partition([top]), lam.length, "free-nu")
-    if walked is None:
-        return {}
-    terms = {}
-    for labels, c in walked[2].items():
-        parts = tuple(map(sub, (*labels, top), (0, *labels)))
-        terms[parts[:len(parts) - parts.count(0)]] = c
-    return terms
+
+    def parts(labels):
+        t = tuple(map(sub, (*labels, top), (0, *labels)))
+        return t[:len(t) - t.count(0)]
+
+    walked = _by_rows(lam, mu, Partition._of((top,) if top > 0 else ()), lam.length, "free-nu")
+    return ({} if walked is None else walked[2]), parts
 
 
 def is_valid_lr_hive(hive, boundary):

@@ -27,6 +27,14 @@ class SkewShape:
         self.outer = outer
         self.inner = inner
 
+    @classmethod
+    def _of(cls, outer, inner):
+        """Trusted construction from an inner partition already contained in outer."""
+        s = object.__new__(cls)
+        s.outer = outer
+        s.inner = inner
+        return s
+
     @property
     def size(self):
         return self.outer.weight - self.inner.weight
@@ -128,9 +136,10 @@ def star(theta, phi):
     Functions, I.5); either factor may be empty.
     """
     shift = phi.outer.parts[0] if phi.outer else 0
-    outer = [t + shift for t in theta.outer.parts] + list(phi.outer.parts)
-    inner = [t + shift for t in theta.inner.padded(theta.outer.length)] + list(phi.inner.parts)
-    return SkewShape(Partition(outer), Partition(inner))
+    outer = tuple(t + shift for t in theta.outer.parts) + phi.outer.parts
+    inner = tuple(t + shift for t in theta.inner.padded(theta.outer.length)) + phi.inner.parts
+    # each factor is a checked shape, so outer holds inner; inner's zeros, if any, are its last
+    return SkewShape._of(Partition._of(outer), Partition._of(inner[:len(inner) - inner.count(0)]))
 
 
 def parse_skew_shape(text, max_weight=None):

@@ -129,9 +129,15 @@ def lr_tableau_count(lam, mu, nu):
 
 def lr_expansion(lam, mu):
     """{parts of nu: number of LR fillings of lam/mu with content nu}, in one walk; mu inside lam."""
-    cap = (lam.weight,) * lam.length
-    terms = {}
-    for (content, _, _), n in _by_rows(lam, mu, cap, False).items():
-        nu = content[1:]  # weakly decreasing, as the word is lattice
-        terms[nu[:len(nu) - nu.count(0)]] = n
-    return terms
+    states, parts = lr_expansion_states(lam, mu)
+    return {parts(key): n for key, n in states.items()}
+
+
+def lr_expansion_states(lam, mu):
+    """The final states of lam/mu's fill, keyed by content, and the function giving each one's term."""
+    return _by_rows(lam, mu, (lam.weight,) * lam.length, False), _content_parts
+
+
+def _content_parts(key):
+    nu = key[0][1:]  # weakly decreasing, as the word is lattice
+    return nu[:len(nu) - nu.count(0)]

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import lrhive.classify
-import lrhive.expansions
+import lrhive.hives
+import lrhive.tableaux
 from lrhive import sweep
 from lrhive.classify import MFVerdict
 from lrhive.cli import main
-from lrhive.expansions import Expansion
-from lrhive.partitions import partitions_in_box, subpartitions
+from lrhive.expansions import Expansion, product_expansion
+from lrhive.partitions import parse_partition, partitions_in_box, subpartitions
 from lrhive.skew import SkewShape
 from lrhive.sweep import verify_sweep
 
@@ -328,6 +329,62 @@ class TestVerify:
         assert out == (GOLDEN / f"verify_{family}_2x2_disagree.{suffix}").read_text()
 
 
+class TestOrientation:
+    """Hive product sweeps expand the cheapest of four equal products; tableau sweeps as drawn."""
+
+    @staticmethod
+    def record_expanded(monkeypatch):
+        expanded = []
+
+        def recording(mu, nu, method):
+            expanded.append((mu, nu))
+            return product_expansion(mu, nu, method)
+
+        monkeypatch.setattr(sweep, "product_expansion", recording)
+        return expanded
+
+    def test_oriented_pairs_keep_the_maximum(self, monkeypatch):
+        expanded = self.record_expanded(monkeypatch)
+        box = partitions_in_box(4, 4)
+        for mu in box:
+            for nu in box:
+                oriented = sweep._cheapest_product(mu, nu, "hive").max_multiplicity()
+                assert oriented == product_expansion(mu, nu).max_multiplicity(), (mu, nu)
+        drawn = [(mu, nu) for mu in box for nu in box]
+        assert len(expanded) == len(drawn) == 4900
+        sides = [(e[0].length + e[1].length, d[0].length + d[1].length) for e, d in zip(expanded, drawn)]
+        assert all(e <= d for e, d in sides) and sum(e < d for e, d in sides) == 1778
+        assert all(e[0].weight <= e[1].weight for e in expanded)
+
+    def test_disagreement_keyed_by_the_drawn_pair(self, monkeypatch):
+        # s_211 s_21 is expanded as s_21 s_31; a classifier wrong there only
+        # must be reported at (211, 21)
+        mu, nu = parse_partition("2,1,1"), parse_partition("2,1")
+        expanded = self.record_expanded(monkeypatch)
+
+        def flip_one(m, n):
+            verdict = lrhive.classify.stembridge_mf(m, n)
+            return MFVerdict(frozenset({"P1"})) if (m, n) == (mu, nu) else verdict
+
+        monkeypatch.setattr(sweep, "stembridge_mf", flip_one)
+        report = verify_sweep("products", (3, 3))
+        assert (parse_partition("2,1"), parse_partition("3,1")) in expanded
+        assert (mu, nu) not in expanded
+        enum_max = product_expansion(mu, nu).max_multiplicity()
+        assert enum_max == 2
+        assert report.disagreements == [
+            {"mu": [2, 1, 1], "nu": [2, 1], "cases": ["P1"], "max_multiplicity": enum_max}
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_tableau_sweeps_expand_as_drawn(self, monkeypatch, seed):
+        seen = record_product_pairs(monkeypatch)
+        expanded = []
+        monkeypatch.setattr(sweep, "product_expansion", lambda mu, nu, method: expanded.append((mu, nu)) or Expansion())
+        verify_sweep("products", (4, 4), sample=400, seed=seed, method="tableau")
+        assert expanded == seen and len(seen) == 400
+
+
 class TestDeterminismAndLimits:
     def test_byte_identical_outputs(self, capsys):
         argv = ["skew", "--shape", "4,3,2,1/2,2", "--format", "json"]
@@ -395,11 +452,11 @@ class TestDeterminismAndLimits:
 
 # Forced computational disagreements, each a name in a golden file's "patch".
 PATCHES = {
-    "tableau-count-3": (lrhive.expansions, "lr_tableau_count", lambda *args: 3),
+    "tableau-count-3": (lrhive.tableaux, "lr_tableau_count", lambda *args: 3),
     "stembridge-says-free": (
         lrhive.classify, "stembridge_mf", lambda *args: MFVerdict(frozenset({"P1"}))
     ),
-    "hive-count-1": (lrhive.classify, "lr_coefficient_hive", lambda *args: 1),
+    "hive-count-1": (lrhive.hives, "lr_coefficient_hive", lambda *args: 1),
 }
 
 
@@ -416,26 +473,42 @@ class TestGolden:
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
+def loaded_after(code):
+    """The sys.modules names a fresh interpreter holds after running code with src/ on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n{code}\nprint(' '.join(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
 class TestStartup:
     def test_parser_loads_no_library_module(self):
         # `lrhive --help` builds the parser only; the library stays unloaded
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            f"import sys; sys.path.insert(0, {str(src)!r})\n"
-            "import lrhive.cli\n"
-            "lrhive.cli.build_parser()\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'lrhive' or m == 'dataclasses'))\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "['lrhive', 'lrhive.cli']"
+        loaded = loaded_after("import lrhive.cli\nlrhive.cli.build_parser()")
+        ours = sorted(m for m in loaded if m.partition(".")[0] == "lrhive" or m == "dataclasses")
+        assert ours == ["lrhive", "lrhive.cli"]
+
+    def test_parser_loads_no_json(self):
+        # json is imported only where a command prints JSON or a disagreement line
+        assert "json" not in loaded_after("import lrhive.cli\nlrhive.cli.build_parser()")
 
     def test_sweeps_load_neither_dataclasses_nor_inspect(self):
         # the records are named tuples; dataclasses would also import inspect, ast and dis
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            f"import sys; sys.path.insert(0, {str(src)!r})\n"
-            "import lrhive.sweep, lrhive.expansions\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        loaded = loaded_after("import lrhive.sweep, lrhive.expansions")
+        assert not {"dataclasses", "inspect"} & loaded
+
+    def test_tableau_skew_sweep_loads_no_hive_engine(self):
+        loaded = loaded_after(
+            "from lrhive.sweep import verify_sweep\n"
+            "assert verify_sweep('skews', (3, 3), sample=20, seed=1, method='tableau').disagree == 0"
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert "lrhive.tableaux" in loaded
+        assert "lrhive.hives" not in loaded
+
+    def test_hive_product_sweep_loads_no_tableau_engine(self):
+        loaded = loaded_after(
+            "from lrhive.sweep import verify_sweep\n"
+            "assert verify_sweep('products', (3, 3), sample=20, seed=1).disagree == 0"
+        )
+        assert "lrhive.hives" in loaded
+        assert "lrhive.tableaux" not in loaded

@@ -21,7 +21,8 @@ from lrhive.partitions import (
     partitions_in_box,
     subpartitions,
 )
-from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape
+from lrhive import hives, tableaux
+from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -285,6 +286,44 @@ class TestMaxMultiplicity:
         assert product_expansion(P("1"), P("1")).max_multiplicity() == 1
         assert skew_expansion(S("6^2,4^2,2^2/3^3")).max_multiplicity() == 2
         assert Expansion().max_multiplicity() == 0
+
+
+def box_shapes():
+    """Every product of the 4x4 box, as its shape mu*nu, and every lam/mu of the 5x5 box."""
+    box = partitions_in_box(4, 4)
+    yield from (star(SkewShape(mu), SkewShape(nu)) for mu in box for nu in box)
+    yield from (SkewShape(lam, mu) for lam in partitions_in_box(5, 5) for mu in subpartitions(lam))
+
+
+class TestLazyTerms:
+    """An engine's expansion converts its states only when a term is read."""
+
+    @pytest.mark.parametrize("engine", [hives, tableaux], ids=["hive", "tableau"])
+    def test_lazy_equals_eager(self, engine):
+        absent = P("1^30")  # weight 30: in no expansion of these boxes
+        for shape in box_shapes():
+            states, parts = engine.lr_expansion_states(shape.outer, shape.inner)
+            converted = []
+            lazy = Expansion._of(states, lambda state: converted.append(state) or parts(state))
+            # what a sweep reads converts no state
+            assert lazy.max_multiplicity() == max(states.values(), default=0) and len(lazy) == len(states)
+            assert converted == []
+
+            terms = {Partition(parts(state)): c for state, c in states.items()}
+            eager = Expansion(terms)
+
+            def lazy():
+                return Expansion._of(states, parts)
+
+            assert lazy().terms() == eager.terms()
+            read = lazy()
+            assert [read[p] for p in (*terms, absent)] == [eager[p] for p in (*terms, absent)]
+            read = lazy()
+            assert [p in read for p in (*terms, absent)] == [True] * len(terms) + [False]
+            assert list(lazy()) == list(eager)
+            assert lazy() == eager and eager == lazy()
+            assert lazy() == terms and terms == lazy()
+            assert repr(lazy()) == repr(eager)
 
 
 class TestMultiply:

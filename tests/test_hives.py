@@ -18,6 +18,7 @@ from lrhive.hives import (
     _count_by_rows,
     _fill_boundary,
     _plan,
+    _row_factory,
     default_hive_side,
     edge_labels,
     enumerate_lr_hives,
@@ -493,6 +494,25 @@ class TestPlanCoverage:
             plan = _plan(n, scan_order, False)
             _check_plan(plan)
             assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
+
+    def test_free_side_rows_share_their_compiles(self):
+        # the rows name labels by role, so rows of one shape on different
+        # sides differ only in the boundary ids their factory binds
+        _plan.cache_clear()
+        _row_factory.cache_clear()
+        plans = [_plan(n, "free-nu", False) for n in range(1, 9)]
+        assert sum(len(plan.rows) for plan in plans) == 28
+        assert _row_factory.cache_info().currsize == 12
+        assert len({walk.__code__ for plan in plans for walk in plan.walkers}) == 12
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_kept_plans_to_side_19(self, scan_order):
+        # test_segments_for_sides_1_to_24 covers the plans that keep nothing;
+        # side 19 walks its longest row as two segments
+        for n in range(1, 20):
+            plan = _plan(n, scan_order, True)
+            _check_plan(plan)
+            assert len(plan.walkers) == len(plan.rows)
 
     @staticmethod
     def with_row(plan, r, row):
