@@ -27,6 +27,7 @@ _EXPORTS = {
         "Expansion",
         "duality_check",
         "lr_coefficient",
+        "max_multiplicity",
         "product_expansion",
         "skew_expansion",
     ),

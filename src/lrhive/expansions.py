@@ -13,15 +13,9 @@ from .skew import SkewShape, star
 
 
 class Expansion:
-    """A finite map from partitions to positive coefficients, one weight, keyed by parts.
+    """A finite map from partitions to positive coefficients, one weight, keyed by parts."""
 
-    An engine's expansion holds the walk's final states as they came, with
-    the function that gives each state's parts; the terms are built from
-    them the first time one is read.  max_multiplicity() and len() read the
-    states, so a sweep builds no term.
-    """
-
-    __slots__ = ("_raw", "_parts")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
         coeffs = dict(coeffs)
@@ -31,36 +25,21 @@ class Expansion:
         for p, c in coeffs.items():
             if c < 1:
                 raise ValueError(f"coefficient of {p} must be positive, got {c}")
-        self._raw = {p.parts: c for p, c in coeffs.items()}
-        self._parts = None
+        self._coeffs = {p.parts: c for p, c in coeffs.items()}
 
     @classmethod
-    def _of(cls, raw, parts=None):
-        """Trusted construction from an engine's {state: positive count}.
-
-        parts(state) is the state's term as a parts tuple, one term per
-        state; None means the states are parts tuples already.
-        """
+    def _of(cls, coeffs):
+        """Trusted construction from {parts tuple: positive coefficient}."""
         e = object.__new__(cls)
-        e._raw = raw
-        e._parts = parts
+        e._coeffs = coeffs
         return e
-
-    @property
-    def _coeffs(self):
-        """{parts tuple: coefficient}, converted from the states on first read."""
-        if self._parts is not None:
-            parts = self._parts
-            self._raw = {parts(state): c for state, c in self._raw.items()}
-            self._parts = None
-        return self._raw
 
     def terms(self):
         """(partition, coefficient) pairs in decreasing lexicographic order."""
         return [(Partition._of(t), c) for t, c in sorted(self._coeffs.items(), reverse=True)]
 
     def max_multiplicity(self):
-        return max(self._raw.values(), default=0)
+        return max(self._coeffs.values(), default=0)
 
     def multiply(self, other):
         """The product of the two symmetric functions, as an expansion.
@@ -85,7 +64,7 @@ class Expansion:
         return (Partition._of(t) for t in sorted(self._coeffs, reverse=True))
 
     def __len__(self):
-        return len(self._raw)
+        return len(self._coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Expansion):
@@ -112,21 +91,10 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def product_expansion(mu, nu, method="hive"):
-    """Expansion of the product of the two Schur functions indexed by mu, nu.
+def _states(shape, method):
+    """The engine's final states of the shape's walk, and the function giving each one's parts.
 
-    The skew expansion of star(mu, nu), whose skew Schur function is the
-    product.  Not cached: every call walks again.
-    """
-    return skew_expansion(star(SkewShape(mu), SkewShape(nu)), method)
-
-
-def skew_expansion(shape, method="hive"):
-    """Expansion of the skew Schur function of the given shape.
-
-    By tableaux: one walk over the shape.  By hives: one walk on the side
-    len(outer) with the nu side free.  Each engine is imported by the
-    branch that walks it.
+    Each engine is imported by the branch that walks it.
     """
     if method == "tableau":
         from .tableaux import lr_expansion_states
@@ -134,7 +102,39 @@ def skew_expansion(shape, method="hive"):
         from .hives import lr_expansion_states
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Expansion._of(*lr_expansion_states(shape.outer, shape.inner))
+    return lr_expansion_states(shape.outer, shape.inner)
+
+
+def _product_shape(mu, nu):
+    """The skew shape mu*nu, whose skew Schur function is s_mu s_nu."""
+    return star(SkewShape(mu), SkewShape(nu))
+
+
+def product_expansion(mu, nu, method="hive"):
+    """Expansion of the product of the two Schur functions indexed by mu, nu.
+
+    The skew expansion of mu*nu.  Not cached: every call walks again.
+    """
+    return skew_expansion(_product_shape(mu, nu), method)
+
+
+def skew_expansion(shape, method="hive"):
+    """Expansion of the skew Schur function of the given shape.
+
+    By tableaux: one walk over the shape.  By hives: one walk on the side
+    len(outer) with the nu side free.  Each final state is one term.
+    """
+    states, parts = _states(shape, method)
+    return Expansion._of({parts(state): c for state, c in states.items()})
+
+
+def max_multiplicity(shape, method="hive"):
+    """The largest coefficient in the skew Schur function of the shape.
+
+    Read off the walk's final states, so no term is built.
+    """
+    states, _ = _states(shape, method)
+    return max(states.values(), default=0)
 
 
 def duality_check(lam, mu, nu):

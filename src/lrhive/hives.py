@@ -477,12 +477,6 @@ def lr_coefficient_hive(lam, mu, nu):
     return _count_by_rows(lam, mu, nu, lam.length)
 
 
-def lr_expansion_hive(lam, mu):
-    """{parts of nu: LR coefficient} for s_{lam/mu}, by one row walk on the side len lam."""
-    states, parts = lr_expansion_states(lam, mu)
-    return {parts(labels): c for labels, c in states.items()}
-
-
 def lr_expansion_states(lam, mu):
     """The final states of lam/mu's free-side walk, and the function giving each one's term.
 
@@ -511,11 +505,9 @@ def is_valid_lr_hive(hive, boundary):
     for (i, j), label in boundary.vertex_labels().items():
         if hive.rows[i][j] != label:
             return False
-    plan = _plan(hive.n, "row-major", False)
-    flat = [0] * plan.size
-    for (i, j), v in plan.vid.items():
-        flat[v] = hive.rows[i][j]
-    return _holds(plan, flat)
+    labels = {(i, j): label for i, row in enumerate(hive.rows) for j, label in enumerate(row)}
+    # each vertex named by its label, so the inequalities come out as labels
+    return all(a + b >= c + d for a, b, c, d in _rhombus_inequalities(hive.n, labels))
 
 
 def free_interior_vertices(lam, mu, nu, n):

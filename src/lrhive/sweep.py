@@ -12,7 +12,7 @@ import random
 from itertools import product
 
 from .classify import gty_mf, stembridge_mf
-from .expansions import product_expansion, skew_expansion
+from .expansions import _product_shape, max_multiplicity
 from .partitions import Partition, _walk, conjugate, partitions_in_box
 from .skew import SkewShape, _basic_cap, format_skew_shape
 
@@ -41,8 +41,8 @@ def _skew_key(shape):
     return {"shape": format_skew_shape(shape)}
 
 
-def _cheapest_product(mu, nu, method):
-    """The expansion of whichever of four products with one maximum multiplicity walks cheapest.
+def _cheapest_product(mu, nu):
+    """The shape of whichever of four products with one maximum multiplicity walks cheapest.
 
     s_mu s_nu, s_nu s_mu, s_mu' s_nu' and s_nu' s_mu' have equal maximum
     multiplicities (Macdonald, Symmetric Functions, I.5), and that maximum
@@ -55,17 +55,19 @@ def _cheapest_product(mu, nu, method):
         mu, nu = conjugate(mu), conjugate(nu)
     if nu.weight < mu.weight:
         mu, nu = nu, mu
-    return product_expansion(mu, nu, method)
+    return _product_shape(mu, nu)
 
 
 def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     """Differential sweep: classifier verdict vs enumerated max multiplicity.
 
-    Each instance is an argument tuple for the family's classifier and
-    expansion; a disagreement records the instance's key, then the cases
-    that fired and the enumerated maximum multiplicity.  A hive product
-    sweep expands each pair through _cheapest_product, but classifies and
-    keys it as drawn; tableau walks are not cheaper that way.
+    Each instance is an argument tuple for the family's classifier, key
+    and shape map, which gives the skew shape whose walk is read: mu*nu
+    for a pair, the shape itself for a skew.  A disagreement records the
+    instance's key, then the cases that fired and the shape's maximum
+    multiplicity.  A hive product sweep walks the shape _cheapest_product
+    gives, but classifies and keys the pair as drawn; tableau walks are
+    not cheaper that way.
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be non-negative, got {sample}")
@@ -76,7 +78,7 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
         if sample is not None:  # index j is pair j of that order: the picks of the listed pairs
             picks = random.Random(seed).sample(range(n * n), min(sample, n * n))
             instances = [(parts[j // n], parts[j % n]) for j in picks]
-        expand = _cheapest_product if method == "hive" else product_expansion
+        shape_of = _cheapest_product if method == "hive" else _product_shape
         classify, key = stembridge_mf, _product_key
     elif family == "skews":
         # (lam, parts of mu) in shape order; only the shapes run are built
@@ -85,14 +87,14 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
             pairs = list(pairs)
             pairs = random.Random(seed).sample(pairs, min(sample, len(pairs)))
         instances = ((SkewShape(lam, Partition._of(mu)),) for lam, mu in pairs)
-        classify, expand, key = gty_mf, skew_expansion, _skew_key
+        classify, shape_of, key = gty_mf, lambda shape: shape, _skew_key
     else:
         raise ValueError(f"unknown family {family!r}")
     disagreements = []
     count = 0
     for count, args in enumerate(instances, 1):
         verdict = classify(*args)
-        enum_max = expand(*args, method=method).max_multiplicity()
+        enum_max = max_multiplicity(shape_of(*args), method)
         if verdict.multiplicity_free != (enum_max <= 1):
             disagreements.append(
                 {**key(*args), "cases": verdict.sorted_cases(), "max_multiplicity": enum_max}

@@ -127,12 +127,6 @@ def lr_tableau_count(lam, mu, nu):
     return sum(_by_rows(lam, mu, nu.parts, False).values())
 
 
-def lr_expansion(lam, mu):
-    """{parts of nu: number of LR fillings of lam/mu with content nu}, in one walk; mu inside lam."""
-    states, parts = lr_expansion_states(lam, mu)
-    return {parts(key): n for key, n in states.items()}
-
-
 def lr_expansion_states(lam, mu):
     """The final states of lam/mu's fill, keyed by content, and the function giving each one's term."""
     return _by_rows(lam, mu, (lam.weight,) * lam.length, False), _content_parts

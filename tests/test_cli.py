@@ -14,7 +14,7 @@ import lrhive.tableaux
 from lrhive import sweep
 from lrhive.classify import MFVerdict
 from lrhive.cli import main
-from lrhive.expansions import Expansion, product_expansion
+from lrhive.expansions import _product_shape, max_multiplicity, product_expansion
 from lrhive.partitions import parse_partition, partitions_in_box, subpartitions
 from lrhive.skew import SkewShape
 from lrhive.sweep import verify_sweep
@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def record_product_pairs(monkeypatch):
-    """Record each pair a product sweep classifies; its expansions are skipped."""
+    """Record each pair a product sweep classifies; its walks are skipped."""
     seen = []
 
     def recording(mu, nu):
@@ -31,12 +31,12 @@ def record_product_pairs(monkeypatch):
         return lrhive.classify.stembridge_mf(mu, nu)
 
     monkeypatch.setattr(sweep, "stembridge_mf", recording)
-    monkeypatch.setattr(sweep, "product_expansion", lambda mu, nu, method: Expansion())
+    monkeypatch.setattr(sweep, "max_multiplicity", lambda shape, method: 0)
     return seen
 
 
 def record_skew_shapes(monkeypatch):
-    """Record each shape a skew sweep classifies; its expansions are skipped."""
+    """Record each shape a skew sweep classifies; its walks are skipped."""
     seen = []
 
     def recording(shape):
@@ -44,7 +44,7 @@ def record_skew_shapes(monkeypatch):
         return lrhive.classify.gty_mf(shape)
 
     monkeypatch.setattr(sweep, "gty_mf", recording)
-    monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: Expansion())
+    monkeypatch.setattr(sweep, "max_multiplicity", lambda shape, method: 0)
     return seen
 
 
@@ -330,37 +330,38 @@ class TestVerify:
 
 
 class TestOrientation:
-    """Hive product sweeps expand the cheapest of four equal products; tableau sweeps as drawn."""
+    """Hive product sweeps walk the cheapest of four equal products; tableau sweeps as drawn."""
 
     @staticmethod
-    def record_expanded(monkeypatch):
-        expanded = []
+    def record_walked(monkeypatch):
+        """Record each shape a sweep walks, with its maximum multiplicity."""
+        walked = []
 
-        def recording(mu, nu, method):
-            expanded.append((mu, nu))
-            return product_expansion(mu, nu, method)
+        def recording(shape, method):
+            walked.append((shape, max_multiplicity(shape, method)))
+            return walked[-1][1]
 
-        monkeypatch.setattr(sweep, "product_expansion", recording)
-        return expanded
+        monkeypatch.setattr(sweep, "max_multiplicity", recording)
+        return walked
 
     def test_oriented_pairs_keep_the_maximum(self, monkeypatch):
-        expanded = self.record_expanded(monkeypatch)
+        walked = self.record_walked(monkeypatch)
         box = partitions_in_box(4, 4)
-        for mu in box:
-            for nu in box:
-                oriented = sweep._cheapest_product(mu, nu, "hive").max_multiplicity()
-                assert oriented == product_expansion(mu, nu).max_multiplicity(), (mu, nu)
+        verify_sweep("products", (4, 4))
         drawn = [(mu, nu) for mu in box for nu in box]
-        assert len(expanded) == len(drawn) == 4900
-        sides = [(e[0].length + e[1].length, d[0].length + d[1].length) for e, d in zip(expanded, drawn)]
+        assert len(walked) == len(drawn) == 4900
+        for (_, oriented), (mu, nu) in zip(walked, drawn):
+            assert oriented == product_expansion(mu, nu).max_multiplicity(), (mu, nu)
+        sides = [(s.outer.length, mu.length + nu.length) for (s, _), (mu, nu) in zip(walked, drawn)]
         assert all(e <= d for e, d in sides) and sum(e < d for e, d in sides) == 1778
-        assert all(e[0].weight <= e[1].weight for e in expanded)
+        # the factor below, in the rows under the inner part, is the heavier
+        assert all(2 * sum(s.outer.parts[s.inner.length :]) >= s.size for s, _ in walked)
 
     def test_disagreement_keyed_by_the_drawn_pair(self, monkeypatch):
-        # s_211 s_21 is expanded as s_21 s_31; a classifier wrong there only
+        # s_211 s_21 is walked as s_21 s_31; a classifier wrong there only
         # must be reported at (211, 21)
         mu, nu = parse_partition("2,1,1"), parse_partition("2,1")
-        expanded = self.record_expanded(monkeypatch)
+        walked = self.record_walked(monkeypatch)
 
         def flip_one(m, n):
             verdict = lrhive.classify.stembridge_mf(m, n)
@@ -368,8 +369,9 @@ class TestOrientation:
 
         monkeypatch.setattr(sweep, "stembridge_mf", flip_one)
         report = verify_sweep("products", (3, 3))
-        assert (parse_partition("2,1"), parse_partition("3,1")) in expanded
-        assert (mu, nu) not in expanded
+        shapes = [shape for shape, _ in walked]
+        assert _product_shape(parse_partition("2,1"), parse_partition("3,1")) in shapes
+        assert _product_shape(mu, nu) not in shapes
         enum_max = product_expansion(mu, nu).max_multiplicity()
         assert enum_max == 2
         assert report.disagreements == [
@@ -379,10 +381,10 @@ class TestOrientation:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_tableau_sweeps_expand_as_drawn(self, monkeypatch, seed):
         seen = record_product_pairs(monkeypatch)
-        expanded = []
-        monkeypatch.setattr(sweep, "product_expansion", lambda mu, nu, method: expanded.append((mu, nu)) or Expansion())
+        walked = []
+        monkeypatch.setattr(sweep, "max_multiplicity", lambda shape, method: walked.append(shape) or 0)
         verify_sweep("products", (4, 4), sample=400, seed=seed, method="tableau")
-        assert expanded == seen and len(seen) == 400
+        assert walked == [_product_shape(mu, nu) for mu, nu in seen] and len(seen) == 400
 
 
 class TestDeterminismAndLimits:

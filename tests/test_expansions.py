@@ -8,6 +8,7 @@ from lrhive.expansions import (
     Expansion,
     duality_check,
     lr_coefficient,
+    max_multiplicity,
     product_expansion,
     skew_expansion,
 )
@@ -23,6 +24,7 @@ from lrhive.partitions import (
 )
 from lrhive import hives, tableaux
 from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
+from lrhive.sweep import verify_sweep
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -288,42 +290,29 @@ class TestMaxMultiplicity:
         assert Expansion().max_multiplicity() == 0
 
 
-def box_shapes():
-    """Every product of the 4x4 box, as its shape mu*nu, and every lam/mu of the 5x5 box."""
-    box = partitions_in_box(4, 4)
-    yield from (star(SkewShape(mu), SkewShape(nu)) for mu in box for nu in box)
-    yield from (SkewShape(lam, mu) for lam in partitions_in_box(5, 5) for mu in subpartitions(lam))
+class TestSweepsBuildNoTerm:
+    """max_multiplicity, and so every sweep, reads the walk's states and never their parts."""
 
+    @pytest.fixture
+    def no_parts(self, monkeypatch):
+        for engine in (hives, tableaux):
 
-class TestLazyTerms:
-    """An engine's expansion converts its states only when a term is read."""
+            def states_only(lam, mu, walk=engine.lr_expansion_states):
+                def parts(state):
+                    raise AssertionError(f"parts of {state} read")
 
-    @pytest.mark.parametrize("engine", [hives, tableaux], ids=["hive", "tableau"])
-    def test_lazy_equals_eager(self, engine):
-        absent = P("1^30")  # weight 30: in no expansion of these boxes
-        for shape in box_shapes():
-            states, parts = engine.lr_expansion_states(shape.outer, shape.inner)
-            converted = []
-            lazy = Expansion._of(states, lambda state: converted.append(state) or parts(state))
-            # what a sweep reads converts no state
-            assert lazy.max_multiplicity() == max(states.values(), default=0) and len(lazy) == len(states)
-            assert converted == []
+                return walk(lam, mu)[0], parts
 
-            terms = {Partition(parts(state)): c for state, c in states.items()}
-            eager = Expansion(terms)
+            monkeypatch.setattr(engine, "lr_expansion_states", states_only)
 
-            def lazy():
-                return Expansion._of(states, parts)
-
-            assert lazy().terms() == eager.terms()
-            read = lazy()
-            assert [read[p] for p in (*terms, absent)] == [eager[p] for p in (*terms, absent)]
-            read = lazy()
-            assert [p in read for p in (*terms, absent)] == [True] * len(terms) + [False]
-            assert list(lazy()) == list(eager)
-            assert lazy() == eager and eager == lazy()
-            assert lazy() == terms and terms == lazy()
-            assert repr(lazy()) == repr(eager)
+    @pytest.mark.parametrize("method", ["hive", "tableau"])
+    def test_max_multiplicity_and_sweeps(self, no_parts, method):
+        with pytest.raises(AssertionError, match="parts of"):
+            skew_expansion(S("3,2,1/2,1"), method)
+        assert max_multiplicity(S("3,2,1/2,1"), method) == 2
+        assert max_multiplicity(S("0/0"), method) == 1
+        assert verify_sweep("products", (3, 3), method=method).disagree == 0
+        assert verify_sweep("skews", (4, 4), method=method).disagree == 0
 
 
 class TestMultiply:
@@ -351,14 +340,16 @@ class TestDispatch:
 
 # SHA-256 of the terms, in order, of every product in the 4x4 box (hives) and
 # of every lam/mu in the 5x5 box (both engines), with the case labels of each
-# product and of each basic shape.
+# product and of each basic shape.  Each expansion's maximum multiplicity is
+# also read off its shape's walk, as sweeps read it.
 TERMS_DIGEST = "8491a2861f62a500fa6025739429bddcaccb0cef55b872c4ec616add8eeafe0e"
 
 
 def test_terms_over_whole_boxes():
     h = hashlib.sha256()
 
-    def put(*names, expansion, cases):
+    def put(*names, expansion, shape, method, cases):
+        assert max_multiplicity(shape, method) == expansion.max_multiplicity(), names
         terms = " ".join(f"{p}:{c}" for p, c in expansion.terms())
         h.update(f"{' '.join(names)} | {terms} | {cases}\n".encode())
 
@@ -366,11 +357,13 @@ def test_terms_over_whole_boxes():
     for mu in box:
         for nu in box:
             cases = ",".join(stembridge_mf(mu, nu).sorted_cases())
-            put(str(mu), str(nu), expansion=product_expansion(mu, nu), cases=cases)
+            shape = star(SkewShape(mu), SkewShape(nu))
+            put(str(mu), str(nu), expansion=product_expansion(mu, nu), shape=shape, method="hive", cases=cases)
     for lam in partitions_in_box(5, 5):
         for mu in subpartitions(lam):
             shape = SkewShape(lam, mu)
             cases = ",".join(gty_mf(shape).sorted_cases()) if shape.is_basic() else "not basic"
             for method in ("hive", "tableau"):
-                put(format_skew_shape(shape), method, expansion=skew_expansion(shape, method), cases=cases)
+                expansion = skew_expansion(shape, method)
+                put(format_skew_shape(shape), method, expansion=expansion, shape=shape, method=method, cases=cases)
     assert h.hexdigest() == TERMS_DIGEST

@@ -25,7 +25,7 @@ from lrhive.hives import (
     free_interior_vertices,
     is_valid_lr_hive,
     lr_coefficient_hive,
-    lr_expansion_hive,
+    lr_expansion_states,
 )
 from lrhive.partitions import (
     Partition,
@@ -415,7 +415,8 @@ class TestFreeSideWalk:
         ],
     )
     def test_skews_on_sides_0_to_2(self, lam, mu, terms):
-        assert lr_expansion_hive(P(lam), P(mu)) == terms
+        states, parts = lr_expansion_states(P(lam), P(mu))
+        assert {parts(labels): c for labels, c in states.items()} == terms
 
     # Free sides of 17 or more inner vertices, walked as two segments, against the tableau rule.
     @pytest.mark.parametrize("mu, nu", [("1^9", "1^9"), ("2^9", "1^10"), ("3^5,1^5", "2^8")])

@@ -1,9 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lrhive import sweep
-from lrhive.expansions import Expansion
-from lrhive.hives import lr_expansion_hive
+from lrhive import hives, sweep, tableaux
 from lrhive.partitions import (
     Partition,
     WeightCapError,
@@ -22,7 +20,6 @@ from lrhive.partitions import (
     union,
 )
 from lrhive.skew import _basic_cap
-from lrhive.tableaux import lr_expansion
 
 P = parse_partition
 
@@ -365,8 +362,9 @@ class TestTrustedProducers:
         shapes = 0
         for lam in partitions_in_box(5, 5):
             for mu in subpartitions(lam):
-                for terms in (lr_expansion_hive(lam, mu), lr_expansion(lam, mu)):
-                    assert terms and all(canonical(t) for t in terms), (lam, mu)
+                for engine in (hives, tableaux):
+                    states, parts = engine.lr_expansion_states(lam, mu)
+                    assert states and all(canonical(parts(state)) for state in states), (lam, mu)
                 shapes += 1
         assert shapes == 19404
 
@@ -387,7 +385,7 @@ class TestTrustedProducers:
     @pytest.mark.parametrize("box, sample", [((5, 5), None), ((5, 6), 500)])
     def test_skew_sweep_picks(self, monkeypatch, box, sample):
         seen = []
-        monkeypatch.setattr(sweep, "skew_expansion", lambda shape, method: seen.append(shape) or Expansion())
+        monkeypatch.setattr(sweep, "max_multiplicity", lambda shape, method: seen.append(shape) or 0)
         sweep.verify_sweep("skews", box, sample=sample, seed=1)
         assert len(seen) == (5097 if sample is None else sample)
         assert all(canonical(s.outer.parts) and canonical(s.inner.parts) for s in seen)
