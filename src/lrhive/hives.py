@@ -6,6 +6,10 @@ rhombus (two unit triangles glued along an edge) must satisfy
 shared-edge sum >= opposite-vertex sum.  Edge labels are vertex differences,
 so the triangle and rhombus *equalities* hold by construction and only the
 inequalities need checking.
+
+Counting, enumeration and expansion walk the vertices in one order: rows
+descending, each right to left, with the free nu side last when a walk has
+one.  Enumeration sorts its hives into row-major order afterwards.
 """
 
 from __future__ import annotations
@@ -18,15 +22,6 @@ from operator import itemgetter, sub
 from .partitions import Partition
 
 
-# Sort keys of the scan orders; the first component numbers the row.
-_SCAN_KEYS = {
-    "row-major": lambda v: (v[0], v[1]),
-    "anti-diagonal": lambda v: (v[0] + v[1], v[0]),
-}
-SCAN_ORDERS = tuple(_SCAN_KEYS)
-# The expansion plan also walks the nu side (row 0) free, as the last row;
-# its sort key runs the rows descending, each right to left.
-_FREE_SIDES = {"free-nu": lambda v: (-v[0], -v[1])}
 # The most steps in one walked row.  A compiled row nests one loop per step
 # inside its loop over the frontier, and CPython rejects more than 20
 # statically nested blocks.
@@ -133,20 +128,21 @@ class _Step(namedtuple("_Step", "vid lower_singles upper_singles lower_triples u
 # them; rows one (steps, key) pair per walked row: the row's steps, and the
 # vertices whose labels identify a partial hive after it; walkers each row
 # compiled by _compile_row, in order.
-_Plan = namedtuple("_Plan", "scan_order keep size vid sides boundary_checks all_ineqs rows walkers")
+_Plan = namedtuple("_Plan", "free keep size vid sides boundary_checks all_ineqs rows walkers")
 
 
 @lru_cache(maxsize=None)
-def _plan(n, scan_order, keep, /):
-    """Precompute the search schedule for side n under the given scan order.
+def _plan(n, free, keep, /):
+    """Precompute the search schedule for side n.
 
-    For each interior vertex, and each inner vertex of the free side, collect
-    every rhombus inequality whose other three vertices come earlier (fixed
+    Every plan walks the interior rows descending, from i = n - 2 down to 1,
+    each right to left; with free, the inner vertices of the nu side (row 0)
+    are walked too, as the last row.  For each walked vertex, collect every
+    rhombus inequality whose other three vertices come earlier (fixed
     boundary vertices count as assigned), split into lower/upper bounds on
     the vertex, plus single-vertex bounds implied by the monotonicity of edge
-    labels toward the boundary.  The steps are then split into the scan
-    order's rows, and a row longer than _ROW_LIMIT into consecutive segments,
-    each walked as a row of its own.
+    labels toward the boundary.  A row longer than _ROW_LIMIT is split into
+    consecutive segments, each walked as a row of its own.
 
     Each row's key is the frontier, the labels later rows still read; from
     the free side on it is led by the free labels assigned so far, in side
@@ -161,10 +157,8 @@ def _plan(n, scan_order, keep, /):
             vid[(i, j)] = k
             k += 1
     size = k
-    free = _sides(n)[1][1:-1] if scan_order in _FREE_SIDES else []
-    walked = [(i, j) for i in range(1, n) for j in range(1, n - i)] + free
-    key = (_SCAN_KEYS | _FREE_SIDES)[scan_order]
-    walked.sort(key=key)
+    free_side = _sides(n)[1][1:-1] if free else []
+    walked = sorted([(i, j) for i in range(1, n) for j in range(1, n - i)] + free_side, reverse=True)
     pos = {vid[p]: t for t, p in enumerate(walked)}
 
     ineqs = _rhombus_inequalities(n, vid)
@@ -207,7 +201,7 @@ def _plan(n, scan_order, keep, /):
         )
 
     segments = []
-    for _, group in groupby(zip(walked, steps), key=lambda ps: key(ps[0])[0]):
+    for _, group in groupby(zip(walked, steps), key=lambda ps: ps[0][0]):
         row_steps = tuple(step for _, step in group)
         segments += (row_steps[t : t + _ROW_LIMIT] for t in range(0, len(row_steps), _ROW_LIMIT))
     frontiers = []
@@ -217,7 +211,7 @@ def _plan(n, scan_order, keep, /):
         frontiers.append(tuple(sorted(u for u in later if u in pos and pos[u] <= end)))
         for step in row_steps:
             later |= step.reads()
-    result = [vid[p] for p in (walked if keep else free)]  # the labels the last key holds, in order
+    result = [vid[p] for p in (walked if keep else free_side)]  # the labels the last key holds, in order
     rows, walkers = [], []
     carried = ()
     assigned = set()
@@ -231,7 +225,7 @@ def _plan(n, scan_order, keep, /):
 
     sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
     plan = _Plan(
-        scan_order, keep, size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows), tuple(walkers)
+        free, keep, size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows), tuple(walkers)
     )
     _check_plan(plan)
     return plan
@@ -284,7 +278,7 @@ def _check_plan(plan):
         carried = key
     if plan.keep:
         result = tuple(step.vid for step in steps)
-    elif plan.scan_order in _FREE_SIDES:
+    elif plan.free:
         result = plan.sides[1][1:-1]
     else:
         result = ()
@@ -390,7 +384,7 @@ def _row_factory(source):
     return namespace["make"]
 
 
-def _by_rows(lam, mu, nu, n, scan_order, keep=False):
+def _by_rows(lam, mu, nu, n, free=False, keep=False):
     """Walk the (lam, mu, nu) boundary's plan row by row.
 
     Returns (plan, vals, {final key: partial hives reaching it}), vals
@@ -409,7 +403,7 @@ def _by_rows(lam, mu, nu, n, scan_order, keep=False):
         raise ValueError("partition lengths must not exceed n")
     if lam.weight != mu.weight + nu.weight:
         return None
-    plan = _plan(n, scan_order, keep)
+    plan = _plan(n, free, keep)
     vals = [0] * plan.size
     _fill_boundary(vals, plan.sides, lam, mu, nu)
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in plan.boundary_checks):
@@ -427,7 +421,7 @@ def _count_by_rows(lam, mu, nu, n):
     read) have the same completions, so they merge on it; the last row
     leaves an empty frontier, reached once per hive.
     """
-    walked = _by_rows(lam, mu, nu, n, "row-major")
+    walked = _by_rows(lam, mu, nu, n)
     return 0 if walked is None else walked[2].get((), 0)
 
 
@@ -436,20 +430,19 @@ def default_hive_side(lam, mu, nu):
     return max(lam.length, mu.length + nu.length)
 
 
-def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
+def enumerate_lr_hives(lam, mu, nu, n=None):
     """All integer LR-hives with the (lam, mu, nu) boundary on a side-n triangle.
 
-    Weight-infeasible input gives an empty list.  Order is deterministic:
-    lexicographic in the interior labels along the scan order.  The row walk
-    keys each partial hive on every label assigned so far, so nothing merges
-    and the final keys are the hives; each is re-checked against every
-    rhombus inequality.
+    Weight-infeasible input gives an empty list.  The row walk keys each
+    partial hive on every label assigned so far, so nothing merges and the
+    final keys are the hives; each is re-checked against every rhombus
+    inequality.  The hives are then sorted by their rows: they share their
+    boundary labels, so the order is row-major lexicographic in the interior
+    labels.
     """
-    if scan_order not in _SCAN_KEYS:
-        raise ValueError(f"unknown scan order {scan_order!r}")
     if n is None:
         n = default_hive_side(lam, mu, nu)
-    walked = _by_rows(lam, mu, nu, n, scan_order, keep=True)
+    walked = _by_rows(lam, mu, nu, n, keep=True)
     if walked is None:
         return []
     plan, vals, reached = walked
@@ -461,6 +454,7 @@ def enumerate_lr_hives(lam, mu, nu, n=None, *, scan_order="row-major"):
             vals[u] = label
         if _holds(plan, vals):
             hives.append(Hive(n, [[vals[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]))
+    hives.sort(key=lambda h: h.rows)
     return hives
 
 
@@ -494,7 +488,7 @@ def lr_expansion_states(lam, mu):
         t = tuple(map(sub, (*labels, top), (0, *labels)))
         return t[:len(t) - t.count(0)]
 
-    walked = _by_rows(lam, mu, Partition._of((top,) if top > 0 else ()), lam.length, "free-nu")
+    walked = _by_rows(lam, mu, Partition._of((top,) if top > 0 else ()), lam.length, free=True)
     return ({} if walked is None else walked[2]), parts
 
 

@@ -9,6 +9,7 @@ multiplicity of its enumerated expansion.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from itertools import product
 
 from .classify import gty_mf, stembridge_mf
@@ -17,12 +18,10 @@ from .partitions import Partition, _walk, conjugate, partitions_in_box
 from .skew import SkewShape, _basic_cap, format_skew_shape
 
 
-class SweepReport:
+class SweepReport(namedtuple("SweepReport", "instances disagreements")):
     """Outcome of a sweep: the number of instances run, and each disagreement."""
 
-    def __init__(self, instances, disagreements):
-        self.instances = instances
-        self.disagreements = disagreements
+    __slots__ = ()
 
     @property
     def disagree(self):

@@ -11,7 +11,13 @@ from itertools import product as iproduct
 
 from lrhive.classify import lifted_witness, product_witness, skew_witness
 from lrhive.expansions import duality_check, lr_coefficient, product_expansion, skew_expansion
-from lrhive.hives import default_hive_side, enumerate_lr_hives, lr_coefficient_hive
+from lrhive.hives import (
+    HiveBoundary,
+    default_hive_side,
+    enumerate_lr_hives,
+    is_valid_lr_hive,
+    lr_coefficient_hive,
+)
 from lrhive.partitions import (
     Partition,
     add,
@@ -302,8 +308,9 @@ def test_c11_engine_cross_validation():
             assert lr_coefficient_hive(lam, mu, nu) == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
             n = default_hive_side(lam, mu, nu)
             if max(lam.length, mu.length, nu.length) <= n:
-                row = enumerate_lr_hives(lam, mu, nu, n, scan_order="row-major")
-                anti = enumerate_lr_hives(lam, mu, nu, n, scan_order="anti-diagonal")
-                assert set(row) == set(anti), (lam, mu, nu)
+                hives = enumerate_lr_hives(lam, mu, nu, n)
+                assert len(hives) == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
+                boundary = HiveBoundary(n, lam, mu, nu)
+                assert all(is_valid_lr_hive(h, boundary) for h in hives), (lam, mu, nu)
 
-    criterion(11, "hive = tableau on 200 seeded triples, scan-order independent", body)
+    criterion(11, "hive = tableau on 200 seeded triples, every enumerated hive valid", body)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import subprocess
@@ -203,6 +204,22 @@ class TestHives:
         )
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"hives_321_21_21_dump.{suffix}").read_text()
+
+    def test_dump_digests(self, capsys):
+        # 160 hives on side 8, in both formats, and 2 hives on side 19, whose
+        # rows are walked in segments: the order --dump prints, pinned
+        dumps = {
+            ("--lambda", "12,10,8,6,2,2", "--mu", "8,6,4,2", "--nu", "8,6,4,2"):
+                "48980fc41cd6c165bbb57e121e53e0594d2ad43f702e12412bfa626b7c926993",
+            ("--lambda", "12,10,8,6,2,2", "--mu", "8,6,4,2", "--nu", "8,6,4,2", "--format", "json"):
+                "3fad19569675f3a1237dfaf981de962be3adb87fb23d528d3c2726e18fd65ece",
+            ("--lambda", "4,3,2,1", "--mu", "2,2", "--nu", "3,2,1", "--n", "19"):
+                "ab79f8e573feb9ae8c2ca121e78747e23fc55e1a8ce6bd4dd9ba9b4987f0a375",
+        }
+        for args, digest in dumps.items():
+            code, out, err = run(capsys, "hives", *args, "--dump")
+            assert (code, err) == (0, ""), args
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
     def test_side_capped_by_weight_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("HIVE_LR_MAX_WEIGHT", "5")

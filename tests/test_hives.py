@@ -8,10 +8,7 @@ import pytest
 from lrhive.cli import main
 from lrhive.expansions import product_expansion, skew_expansion
 from lrhive.hives import (
-    SCAN_ORDERS,
-    _FREE_SIDES,
     _ROW_LIMIT,
-    _SCAN_KEYS,
     Hive,
     HiveBoundary,
     _check_plan,
@@ -86,14 +83,8 @@ def tight_side(lam, mu, nu):
     return max(lam.length, mu.length, nu.length)
 
 
-# Every kind of plan the engine walks: the count's, both enumeration orders'
-# and the free side's.
-PLAN_KINDS = (
-    ("row-major", False),
-    ("row-major", True),
-    ("anti-diagonal", True),
-    *((free, False) for free in _FREE_SIDES),
-)
+# The three plans the engine builds, as (free, keep) by job.
+PLAN_KINDS = {"count": (False, False), "enumerate": (False, True), "expand": (True, False)}
 
 
 class TestValidation:
@@ -181,14 +172,12 @@ class TestEnumeration:
         ]
         assert interiors == sorted(interiors)
 
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
-    def test_lexicographic_across_segments(self, scan_order):
-        # on side 19 the longest row (or anti-diagonal) has 17 vertices, walked as two segments
+    def test_lexicographic_across_segments(self):
+        # on side 19 the longest row has 17 vertices, walked as two segments
         n = 19
-        assert max(len(row_steps) for row_steps, _ in _plan(n, scan_order, False).rows) == _ROW_LIMIT
-        hives = enumerate_lr_hives(P("4,3,2,1"), P("2,2"), P("3,2,1"), n, scan_order=scan_order)
-        interior = sorted(((i, j) for i in range(1, n) for j in range(1, n - i)), key=_SCAN_KEYS[scan_order])
-        interiors = [tuple(h.rows[i][j] for i, j in interior) for h in hives]
+        assert max(len(row_steps) for row_steps, _ in _plan(n, False, True).rows) == _ROW_LIMIT
+        hives = enumerate_lr_hives(P("4,3,2,1"), P("2,2"), P("3,2,1"), n)
+        interiors = [tuple(h.rows[i][j] for i in range(1, n) for j in range(1, n - i)) for h in hives]
         assert len(interiors) == 2 and interiors == sorted(interiors)
 
 
@@ -249,17 +238,14 @@ class TestEdgeLabels:
 
 class TestScanOrder:
     def test_independence_exhaustive(self):
+        # against oracles that share nothing with the walk: the tableau
+        # count and the rhombus check
         for lam, mu, nu in all_triples(8):
             n = default_hive_side(lam, mu, nu)
-            row = enumerate_lr_hives(lam, mu, nu, n, scan_order="row-major")
-            anti = enumerate_lr_hives(lam, mu, nu, n, scan_order="anti-diagonal")
-            assert set(row) == set(anti), (lam, mu, nu)
-
-    def test_unknown_order_rejected(self):
-        # the free-side plans serve expansions only; they are not scan orders
-        for scan_order in ("spiral", *_FREE_SIDES):
-            with pytest.raises(ValueError, match="unknown scan order"):
-                enumerate_lr_hives(P("2,1"), P("1"), P("1,1"), 2, scan_order=scan_order)
+            hives = enumerate_lr_hives(lam, mu, nu, n)
+            assert len(hives) == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
+            boundary = HiveBoundary(n, lam, mu, nu)
+            assert all(is_valid_lr_hive(h, boundary) for h in hives), (lam, mu, nu)
 
 
 class TestOracleAgreement:
@@ -435,17 +421,13 @@ class TestFreeSideWalk:
 class TestBruteForce:
     """Enumeration against every interior labelling, filtered by validation alone."""
 
-    SCAN_KEYS = {"row-major": lambda v: v, "anti-diagonal": lambda v: (v[0] + v[1], v[0])}
-
-    def brute_force(self, lam, mu, nu, n, scan_order):
-        """Every valid hive, with the interior labelled lexicographically in scan order."""
+    def brute_force(self, lam, mu, nu, n):
+        """Every valid hive, with the interior labelled lexicographically in row-major order."""
         boundary = HiveBoundary(n, lam, mu, nu)
         rows = [[0] * (n + 1 - i) for i in range(n + 1)]
         for (i, j), label in boundary.vertex_labels().items():
             rows[i][j] = label
-        interior = sorted(
-            ((i, j) for i in range(1, n) for j in range(1, n - i)), key=self.SCAN_KEYS[scan_order]
-        )
+        interior = [(i, j) for i in range(1, n) for j in range(1, n - i)]
         hives = []
         for labels in itertools.product(range(lam.weight + 1), repeat=len(interior)):
             for (i, j), label in zip(interior, labels):
@@ -455,44 +437,41 @@ class TestBruteForce:
                 hives.append(hive)
         return hives
 
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
-    def test_small_triangles(self, scan_order):
+    def test_small_triangles(self):
         checked = 0
         for lam, mu, nu in all_triples(5):
             n = default_hive_side(lam, mu, nu)
             if n > 4:
                 continue
-            expected = self.brute_force(lam, mu, nu, n, scan_order)
-            assert enumerate_lr_hives(lam, mu, nu, n, scan_order=scan_order) == expected, (lam, mu, nu)
+            expected = self.brute_force(lam, mu, nu, n)
+            assert enumerate_lr_hives(lam, mu, nu, n) == expected, (lam, mu, nu)
             checked += 1
         assert checked == 323
 
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
-    def test_order_of_two_hives(self, scan_order):
+    def test_order_of_two_hives(self):
         # every coefficient up to weight 5 is at most 1, so only these show the order
         for lam, mu, nu in ((P("3,2,1"), P("2,1"), P("2,1")), (P("4,3,2,1"), P("2,2"), P("3,2,1"))):
-            expected = self.brute_force(lam, mu, nu, 4, scan_order)
+            expected = self.brute_force(lam, mu, nu, 4)
             assert len(expected) == 2
-            assert enumerate_lr_hives(lam, mu, nu, 4, scan_order=scan_order) == expected
+            assert enumerate_lr_hives(lam, mu, nu, 4) == expected
 
 
 class TestPlanCoverage:
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
-    def test_holds_for_small_sides(self, scan_order):
+    @pytest.mark.parametrize("free, keep", PLAN_KINDS.values(), ids=PLAN_KINDS)
+    def test_holds_for_small_sides(self, free, keep):
         for n in range(1, 11):
-            _check_plan(_plan(n, scan_order, False))
+            _check_plan(_plan(n, free, keep))
 
-    @pytest.mark.parametrize("free", _FREE_SIDES)
-    def test_free_side_is_the_last_row(self, free):
+    def test_free_side_is_the_last_row(self):
         # the nu side's inner vertices, right to left
         for n in range(2, 11):
-            plan = _plan(n, free, False)
+            plan = _plan(n, True, False)
             assert tuple(step.vid for step in plan.rows[-1][0]) == plan.sides[1][1:-1][::-1]
 
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS + tuple(_FREE_SIDES))
-    def test_segments_for_sides_1_to_24(self, scan_order):
+    @pytest.mark.parametrize("free", (False, True), ids=("count", "expand"))
+    def test_segments_for_sides_1_to_24(self, free):
         for n in range(1, 25):
-            plan = _plan(n, scan_order, False)
+            plan = _plan(n, free, False)
             _check_plan(plan)
             assert all(0 < len(row_steps) <= _ROW_LIMIT for row_steps, _ in plan.rows), n
 
@@ -501,17 +480,16 @@ class TestPlanCoverage:
         # sides differ only in the boundary ids their factory binds
         _plan.cache_clear()
         _row_factory.cache_clear()
-        plans = [_plan(n, "free-nu", False) for n in range(1, 9)]
+        plans = [_plan(n, True, False) for n in range(1, 9)]
         assert sum(len(plan.rows) for plan in plans) == 28
         assert _row_factory.cache_info().currsize == 12
         assert len({walk.__code__ for plan in plans for walk in plan.walkers}) == 12
 
-    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
-    def test_kept_plans_to_side_19(self, scan_order):
+    def test_kept_plans_to_side_19(self):
         # test_segments_for_sides_1_to_24 covers the plans that keep nothing;
         # side 19 walks its longest row as two segments
         for n in range(1, 20):
-            plan = _plan(n, scan_order, True)
+            plan = _plan(n, False, True)
             _check_plan(plan)
             assert len(plan.walkers) == len(plan.rows)
 
@@ -520,8 +498,8 @@ class TestPlanCoverage:
         return plan._replace(rows=plan.rows[:r] + (row,) + plan.rows[r + 1 :])
 
     def test_rejects_a_dropped_inequality(self):
-        for scan_order, keep in PLAN_KINDS:
-            plan = _plan(5, scan_order, keep)
+        for free, keep in PLAN_KINDS.values():
+            plan = _plan(5, free, keep)
             r, t = next(
                 (r, t)
                 for r, (row_steps, _) in enumerate(plan.rows)
@@ -536,8 +514,8 @@ class TestPlanCoverage:
                 _check_plan(self.with_row(plan, r, row))
 
     def test_rejects_a_short_frontier(self):
-        for scan_order, keep in PLAN_KINDS:
-            plan = _plan(5, scan_order, keep)
+        for free, keep in PLAN_KINDS.values():
+            plan = _plan(5, free, keep)
             _check_plan(plan)
             # a key without a label the next row reads
             r, u = next(
@@ -557,8 +535,8 @@ class TestPlanCoverage:
                 _check_plan(self.with_row(plan, len(plan.rows) - 1, (row_steps, wrong)))
 
     def test_rejects_a_key_ahead_of_its_row(self):
-        for scan_order, keep in PLAN_KINDS:
-            plan = _plan(5, scan_order, keep)
+        for free, keep in PLAN_KINDS.values():
+            plan = _plan(5, free, keep)
             (first, key), (second, _) = plan.rows[:2]
             with pytest.raises(AssertionError):
                 _check_plan(self.with_row(plan, 0, (first, key + (second[-1].vid,))))
@@ -611,18 +589,18 @@ class TestCompiledRows:
             parts[rng.randrange(length)] += 1
         return Partition(sorted(parts, reverse=True))
 
-    @pytest.mark.parametrize("scan_order, keep", PLAN_KINDS)
-    def test_rows_match_the_reference(self, scan_order, keep):
+    @pytest.mark.parametrize("free, keep", PLAN_KINDS.values(), ids=PLAN_KINDS)
+    def test_rows_match_the_reference(self, free, keep):
         rng = random.Random(14)
         crossed = walked = 0
         # side 19 splits a row (or the free side) into two segments
         for n in (*range(1, 10), _ROW_LIMIT + 3):
-            plan = _plan(n, scan_order, keep)
+            plan = _plan(n, free, keep)
             for _ in range(6):
                 mu = self.random_partition(rng, rng.randint(0, n + 2), n)
                 nu = self.random_partition(rng, rng.randint(0, n + 2), n)
                 lam = self.random_partition(rng, mu.weight + nu.weight, n)
-                if scan_order in _FREE_SIDES:
+                if free:
                     nu = Partition([nu.weight])
                 vals = [0] * plan.size
                 _fill_boundary(vals, plan.sides, lam, mu, nu)
