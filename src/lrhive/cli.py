@@ -61,12 +61,15 @@ def _parse_params(text):
         if not item:
             continue
         key, sep, value = item.partition("=")
+        key = key.strip()
         if not sep:
             raise UsageError(f"bad parameter {item!r}; expected name=value")
+        if key in params:
+            raise UsageError(f"parameter {key!r} given twice")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError as exc:
-            raise UsageError(f"parameter {key.strip()!r} needs an integer value") from exc
+            raise UsageError(f"parameter {key!r} needs an integer value") from exc
     return params
 
 

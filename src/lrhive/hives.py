@@ -5,7 +5,10 @@ labels are the partial sums of the three boundary partitions; every unit
 rhombus (two unit triangles glued along an edge) must satisfy
 shared-edge sum >= opposite-vertex sum.  Edge labels are vertex differences,
 so the triangle and rhombus *equalities* hold by construction and only the
-inequalities need checking.
+inequalities need checking.  Vertices have row-major ids, and each side's
+inequalities are listed once, as id quadruples (_rhombus_inequalities): the
+plans schedule them, the plan check counts them, and _holds checks a whole
+hive against them, for enumeration's re-check and for is_valid_lr_hive.
 
 Counting, enumeration and expansion walk the vertices in one order: rows
 descending, each right to left, with the free nu side last when a walk has
@@ -28,32 +31,24 @@ from .partitions import Partition
 _ROW_LIMIT = 16
 
 
-class Hive:
+class Hive(namedtuple("Hive", "n rows")):
     """Immutable triangular array of vertex labels; rows[i][j] is a_{i,j}."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ()
 
-    def __init__(self, n, rows):
+    def __new__(cls, n, rows):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != n + 1 or any(len(r) != n + 1 - i for i, r in enumerate(rows)):
             raise ValueError("rows must form a triangle of side n")
-        self.n = n
-        self.rows = rows
+        return super().__new__(cls, n, rows)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def diagonals(self):
         """Vertex labels grouped apex to base; row k lists a_{k,0} .. a_{0,k}."""
         return [[self.rows[k - t][t] for t in range(k + 1)] for k in range(self.n + 1)]
-
-    def __eq__(self, other):
-        if not isinstance(other, Hive):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"Hive({self.n}, {self.rows!r})"
 
 
 class HiveBoundary(namedtuple("HiveBoundary", "n lam mu nu")):
@@ -100,15 +95,28 @@ def _fill_boundary(vals, sides, lam, mu, nu):
             vals[v] = label
 
 
-def _rhombus_inequalities(n, vid):
-    """All (p1, p2, m1, m2) with constraint a[p1] + a[p2] >= a[m1] + a[m2]."""
+@lru_cache(maxsize=None)
+def _vertex_ids(n):
+    """{(i, j): id} on the side-n triangle, row-major: the order in which Hive.rows flattens."""
+    return {p: k for k, p in enumerate((i, j) for i in range(n + 1) for j in range(n + 1 - i))}
+
+
+@lru_cache(maxsize=None)
+def _rhombus_inequalities(n):
+    """All (p1, p2, m1, m2), as vertex ids, with constraint a[p1] + a[p2] >= a[m1] + a[m2]."""
+    vid = _vertex_ids(n)
     ineqs = []
     for i in range(n - 1):
         for j in range(n - 1 - i):
             ineqs.append((vid[i, j + 1], vid[i + 1, j], vid[i, j], vid[i + 1, j + 1]))
             ineqs.append((vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1], vid[i + 2, j]))
             ineqs.append((vid[i, j + 1], vid[i + 1, j + 1], vid[i + 1, j], vid[i, j + 2]))
-    return ineqs
+    return tuple(ineqs)
+
+
+def _holds(n, labels):
+    """True iff the flat, row-major labels satisfy every rhombus inequality of side n."""
+    return all(labels[a] + labels[b] >= labels[c] + labels[d] for a, b, c, d in _rhombus_inequalities(n))
 
 
 # lower_triples hold (x, y, z) with value >= vals[x] + vals[y] - vals[z],
@@ -124,11 +132,11 @@ class _Step(namedtuple("_Step", "vid lower_singles upper_singles lower_triples u
         return out
 
 
-# sides holds the vertex ids of the lam, nu and mu sides, as _sides lists
-# them; rows one (steps, key) pair per walked row: the row's steps, and the
-# vertices whose labels identify a partial hive after it; walkers each row
-# compiled by _compile_row, in order.
-_Plan = namedtuple("_Plan", "free keep size vid sides boundary_checks all_ineqs rows walkers")
+# n is the side and vid its _vertex_ids; sides holds the vertex ids of the
+# lam, nu and mu sides, as _sides lists them; rows one (steps, key) pair per
+# walked row: the row's steps, and the vertices whose labels identify a
+# partial hive after it; walkers each row compiled by _compile_row, in order.
+_Plan = namedtuple("_Plan", "free keep n vid sides boundary_checks rows walkers")
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +146,8 @@ def _plan(n, free, keep, /):
     Every plan walks the interior rows descending, from i = n - 2 down to 1,
     each right to left; with free, the inner vertices of the nu side (row 0)
     are walked too, as the last row.  For each walked vertex, collect every
-    rhombus inequality whose other three vertices come earlier (fixed
+    inequality of the side's table (_rhombus_inequalities, over the ids of
+    _vertex_ids) whose other three vertices come earlier (fixed
     boundary vertices count as assigned), split into lower/upper bounds on
     the vertex, plus single-vertex bounds implied by the monotonicity of edge
     labels toward the boundary.  A row longer than _ROW_LIMIT is split into
@@ -150,22 +159,15 @@ def _plan(n, free, keep, /):
     merges.  Every row's walk is built once, here, from a source that
     rows of one shape share (see _compile_row).
     """
-    vid = {}
-    k = 0
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            vid[(i, j)] = k
-            k += 1
-    size = k
+    vid = _vertex_ids(n)
     free_side = _sides(n)[1][1:-1] if free else []
     walked = sorted([(i, j) for i in range(1, n) for j in range(1, n - i)] + free_side, reverse=True)
     pos = {vid[p]: t for t, p in enumerate(walked)}
 
-    ineqs = _rhombus_inequalities(n, vid)
     per_vertex_lower = {vid[p]: [] for p in walked}
     per_vertex_upper = {vid[p]: [] for p in walked}
     boundary_checks = []
-    for p1, p2, m1, m2 in ineqs:
+    for p1, p2, m1, m2 in _rhombus_inequalities(n):
         members = [v for v in (p1, p2, m1, m2) if v in pos]
         if not members:
             boundary_checks.append((p1, p2, m1, m2))
@@ -224,9 +226,7 @@ def _plan(n, free, keep, /):
         carried = key
 
     sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
-    plan = _Plan(
-        free, keep, size, vid, sides, tuple(boundary_checks), tuple(ineqs), tuple(rows), tuple(walkers)
-    )
+    plan = _Plan(free, keep, n, vid, sides, tuple(boundary_checks), tuple(rows), tuple(walkers))
     _check_plan(plan)
     return plan
 
@@ -262,7 +262,7 @@ def _check_plan(plan):
             enforced[key(x, y, v, z)] += 1
         if any(u in pos and pos[u] >= t for u in step.reads()):
             raise AssertionError(f"step {t} reads a vertex not yet assigned")
-    wanted = Counter(key(*ineq) for ineq in plan.all_ineqs)
+    wanted = Counter(key(*ineq) for ineq in _rhombus_inequalities(plan.n))
     if enforced != wanted or any(c != 1 for c in wanted.values()):
         raise AssertionError("rhombus inequalities not enforced exactly once")
 
@@ -284,11 +284,6 @@ def _check_plan(plan):
         result = ()
     if carried != result:
         raise AssertionError(f"the last key {carried} is not the result's labels {result}")
-
-
-def _holds(plan, vals):
-    """True iff the labels satisfy every rhombus inequality of the plan's side."""
-    return all(vals[a] + vals[b] >= vals[c] + vals[d] for a, b, c, d in plan.all_ineqs)
 
 
 def _compile_row(row_steps, carried, key):
@@ -404,7 +399,7 @@ def _by_rows(lam, mu, nu, n, free=False, keep=False):
     if lam.weight != mu.weight + nu.weight:
         return None
     plan = _plan(n, free, keep)
-    vals = [0] * plan.size
+    vals = [0] * len(plan.vid)
     _fill_boundary(vals, plan.sides, lam, mu, nu)
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in plan.boundary_checks):
         return None
@@ -412,17 +407,6 @@ def _by_rows(lam, mu, nu, n, free=False, keep=False):
     for walk in plan.walkers:
         frontier = walk(frontier, vals, lam.weight)
     return plan, vals, frontier
-
-
-def _count_by_rows(lam, mu, nu, n):
-    """The number of LR-hives on a side-n triangle, by a row-by-row frontier DP.
-
-    Partial hives that agree on the frontier (the labels later rows still
-    read) have the same completions, so they merge on it; the last row
-    leaves an empty frontier, reached once per hive.
-    """
-    walked = _by_rows(lam, mu, nu, n)
-    return 0 if walked is None else walked[2].get((), 0)
 
 
 def default_hive_side(lam, mu, nu):
@@ -436,7 +420,7 @@ def enumerate_lr_hives(lam, mu, nu, n=None):
     Weight-infeasible input gives an empty list.  The row walk keys each
     partial hive on every label assigned so far, so nothing merges and the
     final keys are the hives; each is re-checked against every rhombus
-    inequality.  The hives are then sorted by their rows: they share their
+    inequality of the side (_holds).  The hives are then sorted by their rows: they share their
     boundary labels, so the order is row-major lexicographic in the interior
     labels.
     """
@@ -452,23 +436,27 @@ def enumerate_lr_hives(lam, mu, nu, n=None):
     for labels in reached:
         for u, label in zip(interior, labels):
             vals[u] = label
-        if _holds(plan, vals):
+        if _holds(n, vals):
             hives.append(Hive(n, [[vals[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]))
     hives.sort(key=lambda h: h.rows)
     return hives
 
 
 def lr_coefficient_hive(lam, mu, nu):
-    """The LR coefficient as the number of LR-hives.
+    """The LR coefficient as the number of LR-hives, by a row-by-row frontier DP.
 
     A length violation of the support conditions short-circuits to 0, and a
     weight mismatch counts no hive.  Past the length test len lam is the
     smallest side holding all three, the side skew expansions walk, and the
-    count (the same on any larger side) runs there by the frontier DP.
+    count (the same on any larger side) runs there.  Partial hives that agree
+    on the frontier (the labels later rows still read) have the same
+    completions, so they merge on it; the last row leaves an empty frontier,
+    reached once per hive.
     """
     if not max(mu.length, nu.length) <= lam.length <= mu.length + nu.length:
         return 0
-    return _count_by_rows(lam, mu, nu, lam.length)
+    walked = _by_rows(lam, mu, nu, lam.length)
+    return 0 if walked is None else walked[2].get((), 0)
 
 
 def lr_expansion_states(lam, mu):
@@ -493,15 +481,17 @@ def lr_expansion_states(lam, mu):
 
 
 def is_valid_lr_hive(hive, boundary):
-    """True iff the hive matches the boundary exactly and all rhombi hold."""
+    """True iff the hive matches the boundary exactly and all rhombi hold.
+
+    The rhombi are checked by _holds on the row-major labels, against the
+    side's inequality table; no plan is built and no row compiled.
+    """
     if hive.n != boundary.n:
         raise ValueError("hive and boundary have different side lengths")
     for (i, j), label in boundary.vertex_labels().items():
         if hive.rows[i][j] != label:
             return False
-    labels = {(i, j): label for i, row in enumerate(hive.rows) for j, label in enumerate(row)}
-    # each vertex named by its label, so the inequalities come out as labels
-    return all(a + b >= c + d for a, b, c, d in _rhombus_inequalities(hive.n, labels))
+    return _holds(hive.n, [x for row in hive.rows for x in row])
 
 
 def free_interior_vertices(lam, mu, nu, n):

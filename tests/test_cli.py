@@ -164,6 +164,10 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "Z9", "--params", "a=1")
         assert code == 2
 
+    def test_repeated_parameter(self, capsys):
+        code, out, err = run(capsys, "witness", "Q1", "--params", "a=9,b=1,c=2,d=1,a=2")
+        assert (code, out, err) == (2, "", "error: parameter 'a' given twice\n")
+
 
 class TestHives:
     def test_count_only(self, capsys):

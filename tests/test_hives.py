@@ -11,8 +11,8 @@ from lrhive.hives import (
     _ROW_LIMIT,
     Hive,
     HiveBoundary,
+    _by_rows,
     _check_plan,
-    _count_by_rows,
     _fill_boundary,
     _plan,
     _row_factory,
@@ -83,6 +83,12 @@ def tight_side(lam, mu, nu):
     return max(lam.length, mu.length, nu.length)
 
 
+def count_on_side(lam, mu, nu, n):
+    """The frontier count on side n; lr_coefficient_hive counts on side len lam."""
+    walked = _by_rows(lam, mu, nu, n)
+    return 0 if walked is None else walked[2].get((), 0)
+
+
 # The three plans the engine builds, as (free, keep) by job.
 PLAN_KINDS = {"count": (False, False), "enumerate": (False, True), "expand": (True, False)}
 
@@ -111,6 +117,14 @@ class TestValidation:
     def test_rows_must_form_a_triangle(self):
         with pytest.raises(ValueError, match="rows must form a triangle of side n"):
             Hive(2, [[0, 1], [1]])
+        with pytest.raises(ValueError, match="rows must form a triangle of side n"):
+            Hive(2, [[0, 1, 2], [2, 3], [3]])._replace(n=1)
+
+    def test_builds_no_plan(self):
+        hive = enumerate_lr_hives(P("3,2,1"), P("2,1"), P("2,1"), 3)[0]
+        _plan.cache_clear()
+        assert is_valid_lr_hive(hive, HiveBoundary(3, P("3,2,1"), P("2,1"), P("2,1")))
+        assert _plan.cache_info().currsize == 0
 
     def test_dimension_mismatch(self):
         b = HiveBoundary(2, P("2,1"), P("1"), P("1,1"))
@@ -165,7 +179,7 @@ class TestEnumeration:
         args = (P("4,3,2,1"), P("2,2"), P("3,2,1"), 4)
         assert enumerate_lr_hives(*args) == enumerate_lr_hives(*args)
 
-    def test_lexicographic_in_scan_order(self):
+    def test_row_major_lexicographic(self):
         hives = enumerate_lr_hives(P("4,3,2,1"), P("2,2"), P("3,2,1"), 4)
         interiors = [
             tuple(h.rows[i][j] for i in range(1, 4) for j in range(1, 4 - i)) for h in hives
@@ -236,8 +250,8 @@ class TestEdgeLabels:
         assert hives_seen > 1000
 
 
-class TestScanOrder:
-    def test_independence_exhaustive(self):
+class TestEnumerationOracles:
+    def test_exhaustive_against_tableaux_and_rhombi(self):
         # against oracles that share nothing with the walk: the tableau
         # count and the rhombus check
         for lam, mu, nu in all_triples(8):
@@ -291,6 +305,32 @@ class TestSymmetries:
             done += 1
 
 
+class TestHiveAddition:
+    """Hives of one side form a cone: adding a fixed hive maps hives to hives, one to one."""
+
+    # (alpha, beta, gamma) of the fixed hives
+    FIXED = (("2,1", "1", "1,1"), ("3,2,1", "2,1", "2,1"), ("4,2,2", "2,2", "2,2"))
+
+    @staticmethod
+    def sum_of(h, f):
+        return Hive(h.n, [[a + b for a, b in zip(r, s)] for r, s in zip(h.rows, f.rows)])
+
+    def test_sums_are_distinct_hives_of_the_summed_boundary(self):
+        n = 4
+        sums = 0
+        for alpha, beta, gamma in (map(P, fixed) for fixed in self.FIXED):
+            fixed_hives = enumerate_lr_hives(alpha, beta, gamma, n)
+            for lam, mu, nu in all_triples(7, length_cap=n):
+                boundary = HiveBoundary(n, add(lam, alpha), add(mu, beta), add(nu, gamma))
+                hives = enumerate_lr_hives(lam, mu, nu, n)
+                for f in fixed_hives:
+                    added = {self.sum_of(h, f) for h in hives}
+                    assert len(added) == len(hives), (lam, mu, nu, f)
+                    assert all(is_valid_lr_hive(h, boundary) for h in added), (lam, mu, nu, f)
+                    sums += len(added)
+        assert sums == 2140
+
+
 def stretch(p, k):
     return Partition([k * x for x in p.parts])
 
@@ -337,7 +377,7 @@ class TestFrontierCount:
     def test_matches_both_oracles(self, triples):
         seen = nonzero = 0
         for lam, mu, nu in triples():
-            by_rows = _count_by_rows(lam, mu, nu, tight_side(lam, mu, nu))
+            by_rows = count_on_side(lam, mu, nu, tight_side(lam, mu, nu))
             assert by_rows == len(enumerate_lr_hives(lam, mu, nu, default_hive_side(lam, mu, nu))), (lam, mu, nu)
             assert by_rows == lr_tableau_count(lam, mu, nu), (lam, mu, nu)
             seen += 1
@@ -347,7 +387,7 @@ class TestFrontierCount:
     def test_independent_of_side(self):
         for lam, mu, nu in all_triples(8):
             k = tight_side(lam, mu, nu)
-            counts = {_count_by_rows(lam, mu, nu, n) for n in (k, k + 1, k + 2)}
+            counts = {count_on_side(lam, mu, nu, n) for n in (k, k + 1, k + 2)}
             assert len(counts) == 1, (lam, mu, nu)
 
     def test_stretched_coefficient(self):
@@ -457,11 +497,6 @@ class TestBruteForce:
 
 
 class TestPlanCoverage:
-    @pytest.mark.parametrize("free, keep", PLAN_KINDS.values(), ids=PLAN_KINDS)
-    def test_holds_for_small_sides(self, free, keep):
-        for n in range(1, 11):
-            _check_plan(_plan(n, free, keep))
-
     def test_free_side_is_the_last_row(self):
         # the nu side's inner vertices, right to left
         for n in range(2, 11):
@@ -602,7 +637,7 @@ class TestCompiledRows:
                 lam = self.random_partition(rng, mu.weight + nu.weight, n)
                 if free:
                     nu = Partition([nu.weight])
-                vals = [0] * plan.size
+                vals = [0] * len(plan.vid)
                 _fill_boundary(vals, plan.sides, lam, mu, nu)
                 frontier, carried = {(): 1}, ()
                 for (row_steps, key), walk in zip(plan.rows, plan.walkers):
