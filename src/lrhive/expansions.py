@@ -13,7 +13,11 @@ from .skew import SkewShape, star
 
 
 class Expansion:
-    """A finite map from partitions to positive coefficients, one weight, keyed by parts."""
+    """A finite map from partitions to positive coefficients, one weight, keyed by parts.
+
+    Written by hand, not a named tuple: it is a mapping, with its own
+    validation and its own equality with dicts.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -91,10 +95,11 @@ def lr_coefficient(lam, mu, nu, method="hive"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _states(shape, method):
-    """The engine's final states of the shape's walk, and the function giving each one's parts.
+def _engine(method):
+    """The named engine's lr_expansion_states, imported only when named.
 
-    Each engine is imported by the branch that walks it.
+    It returns the final states of a shape's walk, and the function giving
+    each one's parts.
     """
     if method == "tableau":
         from .tableaux import lr_expansion_states
@@ -102,7 +107,7 @@ def _states(shape, method):
         from .hives import lr_expansion_states
     else:
         raise ValueError(f"unknown method {method!r}")
-    return lr_expansion_states(shape.outer, shape.inner)
+    return lr_expansion_states
 
 
 def _product_shape(mu, nu):
@@ -124,7 +129,7 @@ def skew_expansion(shape, method="hive"):
     By tableaux: one walk over the shape.  By hives: one walk on the side
     len(outer) with the nu side free.  Each final state is one term.
     """
-    states, parts = _states(shape, method)
+    states, parts = _engine(method)(shape.outer, shape.inner)
     return Expansion._of({parts(state): c for state, c in states.items()})
 
 
@@ -133,7 +138,7 @@ def max_multiplicity(shape, method="hive"):
 
     Read off the walk's final states, so no term is built.
     """
-    states, _ = _states(shape, method)
+    states, _ = _engine(method)(shape.outer, shape.inner)
     return max(states.values(), default=0)
 
 

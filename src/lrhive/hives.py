@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, pairwise
 from operator import itemgetter, sub
 
 from .partitions import Partition
@@ -132,11 +132,11 @@ class _Step(namedtuple("_Step", "vid lower_singles upper_singles lower_triples u
         return out
 
 
-# n is the side and vid its _vertex_ids; sides holds the vertex ids of the
-# lam, nu and mu sides, as _sides lists them; rows one (steps, key) pair per
-# walked row: the row's steps, and the vertices whose labels identify a
-# partial hive after it; walkers each row compiled by _compile_row, in order.
-_Plan = namedtuple("_Plan", "free keep n vid sides boundary_checks rows walkers")
+# n is the side; sides holds the vertex ids of the lam, nu and mu sides, as
+# _sides lists them; rows one (steps, key) pair per walked row: the row's
+# steps, and the vertices whose labels identify a partial hive after it;
+# walkers each row compiled by _compile_row, in order.
+_Plan = namedtuple("_Plan", "free keep n sides boundary_checks rows walkers")
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +226,7 @@ def _plan(n, free, keep, /):
         carried = key
 
     sides = tuple(tuple(vid[p] for p in side) for side in _sides(n))
-    plan = _Plan(free, keep, n, vid, sides, tuple(boundary_checks), tuple(rows), tuple(walkers))
+    plan = _Plan(free, keep, n, sides, tuple(boundary_checks), tuple(rows), tuple(walkers))
     _check_plan(plan)
     return plan
 
@@ -399,7 +399,7 @@ def _by_rows(lam, mu, nu, n, free=False, keep=False):
     if lam.weight != mu.weight + nu.weight:
         return None
     plan = _plan(n, free, keep)
-    vals = [0] * len(plan.vid)
+    vals = [0] * len(_vertex_ids(n))
     _fill_boundary(vals, plan.sides, lam, mu, nu)
     if any(vals[a] + vals[b] < vals[c] + vals[d] for a, b, c, d in plan.boundary_checks):
         return None
@@ -431,13 +431,13 @@ def enumerate_lr_hives(lam, mu, nu, n=None):
         return []
     plan, vals, reached = walked
     interior = plan.rows[-1][1] if plan.rows else ()  # the last key
-    vid = plan.vid
+    rows = list(pairwise(accumulate(range(n + 1, 0, -1), initial=0)))  # ids are row-major: row i is vals[a:b]
     hives = []
     for labels in reached:
         for u, label in zip(interior, labels):
             vals[u] = label
         if _holds(n, vals):
-            hives.append(Hive(n, [[vals[vid[i, j]] for j in range(n + 1 - i)] for i in range(n + 1)]))
+            hives.append(Hive(n, [vals[a:b] for a, b in rows]))
     hives.sort(key=lambda h: h.rows)
     return hives
 

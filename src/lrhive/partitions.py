@@ -18,7 +18,8 @@ class Partition:
 
     Instances are immutable in use and hashable.
     Trailing zeros are stripped on construction, so equality is equality of
-    diagrams.
+    diagrams.  A slots class, not a named tuple like the other records:
+    parts is read on every hot path, and a slot reads in about half the time.
     """
 
     __slots__ = ("parts",)

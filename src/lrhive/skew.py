@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .partitions import (
     Partition,
     complement,
@@ -11,29 +13,29 @@ from .partitions import (
 )
 
 
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "outer inner")):
     """An outer/inner partition pair with inner contained in outer.
 
     The cell set is {(r, c) : 1 <= r <= len(outer), inner_r < c <= outer_r},
     rows and columns 1-indexed.
     """
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    def __init__(self, outer, inner=None):
+    def __new__(cls, outer, inner=None):
         inner = Partition() if inner is None else inner
         if not contains(inner, outer):
             raise ValueError(f"{inner} is not contained in {outer}")
-        self.outer = outer
-        self.inner = inner
+        return super().__new__(cls, outer, inner)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @classmethod
     def _of(cls, outer, inner):
         """Trusted construction from an inner partition already contained in outer."""
-        s = object.__new__(cls)
-        s.outer = outer
-        s.inner = inner
-        return s
+        return tuple.__new__(cls, (outer, inner))
 
     @property
     def size(self):
@@ -106,17 +108,6 @@ class SkewShape:
             inner = Partition(ip[r] for r in rows)
             out.append(SkewShape(outer, inner).to_basic())
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.outer.parts, self.inner.parts))
-
-    def __repr__(self):
-        return f"SkewShape({self.outer!r}, {self.inner!r})"
 
     def __str__(self):
         return format_skew_shape(self)

@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import product
 
 from .classify import gty_mf, stembridge_mf
-from .expansions import _product_shape, max_multiplicity
+from .expansions import _engine, _product_shape, max_multiplicity
 from .partitions import Partition, _walk, conjugate, partitions_in_box
 from .skew import SkewShape, _basic_cap, format_skew_shape
 
@@ -70,6 +70,7 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be non-negative, got {sample}")
+    _engine(method)  # an unknown method fails even when no instance is drawn
     parts = partitions_in_box(*box)
     if family == "products":
         n = len(parts)
@@ -80,12 +81,12 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
         shape_of = _cheapest_product if method == "hive" else _product_shape
         classify, key = stembridge_mf, _product_key
     elif family == "skews":
-        # (lam, parts of mu) in shape order; only the shapes run are built
+        # (lam, parts of mu) in shape order, mu inside lam; only the shapes run are built
         pairs = ((lam, mu) for lam in parts for mu in _walk(_basic_cap(lam).parts))
         if sample is not None:
             pairs = list(pairs)
             pairs = random.Random(seed).sample(pairs, min(sample, len(pairs)))
-        instances = ((SkewShape(lam, Partition._of(mu)),) for lam, mu in pairs)
+        instances = ((SkewShape._of(lam, Partition._of(mu)),) for lam, mu in pairs)
         classify, shape_of, key = gty_mf, lambda shape: shape, _skew_key
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -6,35 +6,30 @@ hive engine so the two can be played against each other.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .partitions import contains
 from .skew import SkewShape
 
 
-class LRTableau:
+class LRTableau(namedtuple("LRTableau", "shape entries")):
     """A filling of a skew shape; entries keyed by 1-indexed (row, column)."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ()
 
-    def __init__(self, shape, entries):
-        self.shape = shape
-        self.entries = dict(entries)
+    def __new__(cls, shape, entries):
+        return super().__new__(cls, shape, dict(entries))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace makes entries a dict too
+        return cls(*iterable)
 
     def reverse_reading_word(self):
         """Entries read right-to-left along each row, rows top to bottom."""
         return [self.entries[cell] for cell in _reverse_reading_cells(self.shape.outer, self.shape.inner)]
 
-    def __eq__(self, other):
-        if not isinstance(other, LRTableau):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
+    def __hash__(self):  # entries is a dict, which does not hash
         return hash((self.shape, tuple(sorted(self.entries.items()))))
-
-    def __repr__(self):
-        return f"LRTableau({self.shape!r}, {self.entries!r})"
 
 
 def is_lattice_word(word):

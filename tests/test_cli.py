@@ -294,6 +294,11 @@ class TestVerify:
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             verify_sweep("bogus", (2, 2))
 
+    @pytest.mark.parametrize("family", ["products", "skews"])
+    def test_unknown_method_with_nothing_walked(self, family):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            verify_sweep(family, (2, 2), sample=0, method="bogus")
+
     def test_negative_sides_checked_before_weight(self, capsys):
         code, out, err = run(capsys, "verify", "--family", "products", "--box=-7x-7")
         assert (code, out) == (2, "")

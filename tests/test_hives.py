@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import pytest
 
 from lrhive.cli import main
-from lrhive.expansions import product_expansion, skew_expansion
+from lrhive.expansions import max_multiplicity, product_expansion, skew_expansion
 from lrhive.hives import (
     _ROW_LIMIT,
     Hive,
@@ -16,6 +17,7 @@ from lrhive.hives import (
     _fill_boundary,
     _plan,
     _row_factory,
+    _vertex_ids,
     default_hive_side,
     edge_labels,
     enumerate_lr_hives,
@@ -35,7 +37,7 @@ from lrhive.partitions import (
     subpartitions,
     union,
 )
-from lrhive.skew import SkewShape
+from lrhive.skew import SkewShape, star
 from lrhive.tableaux import lr_tableau_count
 
 P = parse_partition
@@ -329,6 +331,85 @@ class TestHiveAddition:
                     assert all(is_valid_lr_hive(h, boundary) for h in added), (lam, mu, nu, f)
                     sums += len(added)
         assert sums == 2140
+
+
+# Steps up one place in an m x n box (parts at most m, at most n of them).
+# A partition p steps up to p + (1^k) or to p u (a).  A product pair steps
+# by stepping one factor; a skew shape lam/mu steps to (lam + 1^k)/(mu + 1^j)
+# with j <= k, or to (lam u (a))/(mu u (b)) with b <= a (b = 0 inserts
+# nothing into mu).  Each is hive addition (or its conjugate) with a triple
+# whose coefficient is 1, so max multiplicity never falls along a step.
+# Steps may leave the box; box_steps keeps those inside.
+@cache
+def plus_ones(p, k):
+    return add(p, Partition([1] * k))
+
+
+@cache
+def with_part(p, a):  # a = 0 inserts nothing
+    return union(p, Partition([a]))
+
+
+def partition_steps(p, m, n):
+    return [plus_ones(p, k) for k in range(1, n + 1)] + [with_part(p, a) for a in range(1, m + 1)]
+
+
+def product_steps(mu, nu, m, n):
+    return [(s, nu) for s in partition_steps(mu, m, n)] + [(mu, s) for s in partition_steps(nu, m, n)]
+
+
+def skew_steps(lam, mu, m, n):
+    return [(plus_ones(lam, k), plus_ones(mu, j)) for k in range(1, n + 1) for j in range(k + 1)] + [
+        (with_part(lam, a), with_part(mu, b)) for a in range(1, m + 1) for b in range(a + 1)
+    ]
+
+
+@cache
+def box_maxima(family, method, m, n):
+    """{(mu, nu) or (lam, mu): max multiplicity} over every product pair, or every skew pair mu in lam, in the box."""
+    box = partitions_in_box(m, n)
+    if family == "products":
+        return {
+            (mu, nu): max_multiplicity(star(SkewShape(mu), SkewShape(nu)), method)
+            for mu, nu in itertools.product(box, repeat=2)
+        }
+    return {(lam, mu): max_multiplicity(SkewShape(lam, mu), method) for lam in box for mu in subpartitions(lam)}
+
+
+@cache
+def box_steps(family, m, n):
+    """{pair: the pairs one step above it in the box}, over box_maxima's pairs."""
+    pairs = box_maxima(family, "hive", m, n)
+    steps = product_steps if family == "products" else skew_steps
+    return {pair: [s for s in steps(*pair, m, n) if s in pairs] for pair in pairs}
+
+
+def digits(p):
+    return "".join(map(str, p.parts))
+
+
+class TestSteps:
+    """Max multiplicity along the steps of hive addition, over every pair in the 4x4 box."""
+
+    @pytest.mark.parametrize("family, steps_in_box", [("products", 39200), ("skews", 13720)])
+    def test_max_multiplicity_never_falls_along_a_step(self, family, steps_in_box):
+        maxima = box_maxima(family, "hive", 4, 4)
+        assert maxima == box_maxima(family, "tableau", 4, 4)  # so one check covers both engines
+        steps = box_steps(family, 4, 4)
+        falls = [(pair, s) for pair, above in steps.items() for s in above if maxima[s] < maxima[pair]]
+        assert falls == []
+        assert sum(map(len, steps.values())) == steps_in_box
+
+    @pytest.mark.parametrize("family, minimal", [
+        ("products", {("21", "21"), ("22", "321"), ("321", "22"), ("333", "4422"), ("4422", "333")}),
+        ("skews", {("321", "21"), ("4321", "22"), ("4422", "321")}),
+    ])
+    def test_minimal_non_multiplicity_free_pairs(self, family, minimal):
+        # the pairs with a coefficient of at least 2 that no step reaches from such a pair
+        maxima = box_maxima(family, "hive", 4, 4)
+        above = {s for pair, steps in box_steps(family, 4, 4).items() if maxima[pair] > 1 for s in steps}
+        found = {pair for pair, top in maxima.items() if top > 1 and pair not in above}
+        assert {(digits(a), digits(b)) for a, b in found} == minimal
 
 
 def stretch(p, k):
@@ -637,7 +718,7 @@ class TestCompiledRows:
                 lam = self.random_partition(rng, mu.weight + nu.weight, n)
                 if free:
                     nu = Partition([nu.weight])
-                vals = [0] * len(plan.vid)
+                vals = [0] * len(_vertex_ids(n))
                 _fill_boundary(vals, plan.sides, lam, mu, nu)
                 frontier, carried = {(): 1}, ()
                 for (row_steps, key), walk in zip(plan.rows, plan.walkers):

@@ -18,6 +18,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SkewShape(P("2,2"), P("3"))
 
+    def test_named_tuple(self):
+        s = S("3,2/1")
+        outer, inner = s
+        assert isinstance(s, tuple) and (outer, inner) == (P("3,2"), P("1")) == s
+        assert repr(s) == "SkewShape(outer=Partition([3, 2]), inner=Partition([1]))"
+        assert hash(s) == hash(S("3,2/1")) and s != S("3,2/2")
+
+    def test_replace_checks_containment(self):
+        s = S("3,2/1")
+        assert s._replace(inner=P("2,1")) == S("3,2/2,1")
+        with pytest.raises(ValueError, match="is not contained in"):
+            s._replace(inner=P("4"))
+        with pytest.raises(ValueError, match="is not contained in"):
+            s._replace(outer=P("0"))
+
     def test_cells(self):
         assert S("3,2,1/2,1").cells() == [(1, 3), (2, 2), (3, 1)]
 

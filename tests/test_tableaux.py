@@ -126,6 +126,14 @@ class TestInvariants:
             for t in tableaux:
                 assert is_valid_lr_tableau(t, nu)
 
+    def test_named_tuple_with_dict_entries(self):
+        t = next(enumerate_lr_tableaux(P("3,2,1"), P("2,1"), P("2,1")))
+        assert isinstance(t, tuple) and isinstance(t.entries, dict)
+        same = LRTableau(t.shape, list(t.entries.items()))
+        assert same == t and hash(same) == hash(t) and len({same, t}) == 1
+        moved = t._replace(entries=[*t.entries.items()][::-1])  # _replace builds a dict too
+        assert isinstance(moved.entries, dict) and moved == t
+
     def test_corrupted_tableau_fails_validation(self):
         t = next(enumerate_lr_tableaux(P("3,2,1"), P("2,1"), P("2,1")))
         bad = LRTableau(t.shape, {**t.entries, (1, 3): 2})
