@@ -84,30 +84,22 @@ class Expansion:
 
 def lr_coefficient(lam, mu, nu, method="hive"):
     """Single coefficient by the chosen engine."""
-    if method == "hive":
-        from .hives import lr_coefficient_hive
-
-        return lr_coefficient_hive(lam, mu, nu)
-    if method == "tableau":
-        from .tableaux import lr_tableau_count
-
-        return lr_tableau_count(lam, mu, nu)
-    raise ValueError(f"unknown method {method!r}")
+    return _engine(method)[0](lam, mu, nu)
 
 
 def _engine(method):
-    """The named engine's lr_expansion_states, imported only when named.
+    """The named engine's coefficient count and lr_expansion_states, imported only when named.
 
-    It returns the final states of a shape's walk, and the function giving
-    each one's parts.
+    lr_expansion_states returns the final states of a shape's walk, and the
+    function giving each one's parts.
     """
     if method == "tableau":
-        from .tableaux import lr_expansion_states
+        from .tableaux import lr_expansion_states, lr_tableau_count as count
     elif method == "hive":
-        from .hives import lr_expansion_states
+        from .hives import lr_coefficient_hive as count, lr_expansion_states
     else:
         raise ValueError(f"unknown method {method!r}")
-    return lr_expansion_states
+    return count, lr_expansion_states
 
 
 def _product_shape(mu, nu):
@@ -129,7 +121,7 @@ def skew_expansion(shape, method="hive"):
     By tableaux: one walk over the shape.  By hives: one walk on the side
     len(outer) with the nu side free.  Each final state is one term.
     """
-    states, parts = _engine(method)(shape.outer, shape.inner)
+    states, parts = _engine(method)[1](shape.outer, shape.inner)
     return Expansion._of({parts(state): c for state, c in states.items()})
 
 
@@ -138,7 +130,7 @@ def max_multiplicity(shape, method="hive"):
 
     Read off the walk's final states, so no term is built.
     """
-    states, _ = _engine(method)(shape.outer, shape.inner)
+    states, _ = _engine(method)[1](shape.outer, shape.inner)
     return max(states.values(), default=0)
 
 

@@ -38,7 +38,7 @@ class Hive(namedtuple("Hive", "n rows")):
 
     def __new__(cls, n, rows):
         rows = tuple(tuple(r) for r in rows)
-        if len(rows) != n + 1 or any(len(r) != n + 1 - i for i, r in enumerate(rows)):
+        if n < 0 or len(rows) != n + 1 or any(len(r) != n + 1 - i for i, r in enumerate(rows)):
             raise ValueError("rows must form a triangle of side n")
         return super().__new__(cls, n, rows)
 

@@ -9,7 +9,9 @@ box explicitly and pad with zeros internally.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import namedtuple
+from itertools import accumulate
 from operator import index as _as_int
 
 
@@ -245,6 +247,29 @@ def _walk(cap, weight=None):
             hi = min(hi, left)
             lo = max(lo, -(-left // (rows - i)))  # ceil(left / rows left)
         stack.extend((prefix + (v,), left - v) for v in range(lo, hi + 1))
+
+
+def _walk_numbering(cap):
+    """How many tuples _walk(cap) yields, and a function from k to the k-th of them.
+
+    sums[-i][v] adds up, over last parts u <= v, the tuples from one length-i prefix ending
+    in u.  Rows fill from the last part up; the k-th tuple is read off them part by part.
+    """
+    cap = tuple(cap) + (0,)
+    sums = [[0]]
+    for i in range(len(cap) - 1, 0, -1):  # row sums[-1] is the one below until the append
+        counts = (1 + sums[-1][min(cap[i], v)] for v in range(1, cap[i - 1] + 1))
+        sums.append(list(accumulate(counts, initial=0)))
+
+    def item(k):
+        prefix = [cap[0]]  # a first entry that bounds nothing, dropped at the end
+        while k:  # tuple k > 0 from a prefix is extension k - 1 of it
+            row, hi = sums[-len(prefix)], min(cap[len(prefix) - 1], prefix[-1])
+            prefix.append(bisect_left(row, row[hi] - k + 1))
+            k += row[prefix[-1]] - row[hi] - 1
+        return tuple(prefix[1:])
+
+    return 1 + sums[-1][cap[0]], item
 
 
 def bounded_partitions(weight, outer=None):

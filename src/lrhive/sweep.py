@@ -9,13 +9,15 @@ multiplicity of its enumerated expansion.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import namedtuple
-from itertools import product
+from itertools import accumulate
+from operator import index
 
 from .classify import gty_mf, stembridge_mf
 from .expansions import _engine, _product_shape, max_multiplicity
-from .partitions import Partition, _walk, conjugate, partitions_in_box
-from .skew import SkewShape, _basic_cap, format_skew_shape
+from .partitions import Partition, _walk_numbering, conjugate, partitions_in_box
+from .skew import SkewShape, _basic_cap
 
 
 class SweepReport(namedtuple("SweepReport", "instances disagreements")):
@@ -32,12 +34,8 @@ class SweepReport(namedtuple("SweepReport", "instances disagreements")):
         return self.instances - self.disagree
 
 
-def _product_key(mu, nu):
-    return {"mu": list(mu.parts), "nu": list(nu.parts)}
-
-
-def _skew_key(shape):
-    return {"shape": format_skew_shape(shape)}
+# instance(j), for j < total, is the argument tuple that classify, shape_of and key take.
+_Family = namedtuple("_Family", "classify total instance shape_of key")
 
 
 def _cheapest_product(mu, nu):
@@ -60,43 +58,48 @@ def _cheapest_product(mu, nu):
 def verify_sweep(family, box, sample=None, seed=0, method="hive"):
     """Differential sweep: classifier verdict vs enumerated max multiplicity.
 
-    Each instance is an argument tuple for the family's classifier, key
-    and shape map, which gives the skew shape whose walk is read: mu*nu
-    for a pair, the shape itself for a skew.  A disagreement records the
-    instance's key, then the cases that fired and the shape's maximum
-    multiplicity.  A hive product sweep walks the shape _cheapest_product
-    gives, but classifies and keys the pair as drawn; tableau walks are
-    not cheaper that way.
+    Instance j, for every j below the family's total or a seeded sample of
+    them, is an argument tuple for the family's classifier, key and shape
+    map, which gives the skew shape whose walk is read: mu*nu for a pair,
+    the shape itself for a skew.  A disagreement records the instance's key,
+    then the cases that fired and the shape's maximum multiplicity.  A hive
+    product sweep walks the shape _cheapest_product gives, but classifies
+    and keys the pair as drawn; tableau walks are not cheaper that way.
     """
-    if sample is not None and sample < 0:
-        raise ValueError(f"sample must be non-negative, got {sample}")
+    try:
+        if sample is not None and index(sample) < 0:
+            raise ValueError(f"sample must be non-negative, got {sample}")
+    except TypeError:
+        raise ValueError(f"sample must be an integer, got {sample!r}") from None
     _engine(method)  # an unknown method fails even when no instance is drawn
     parts = partitions_in_box(*box)
-    if family == "products":
+    if family == "products":  # pair j is (parts[j // n], parts[j % n]), mu's order first
         n = len(parts)
-        instances = product(parts, repeat=2)
-        if sample is not None:  # index j is pair j of that order: the picks of the listed pairs
-            picks = random.Random(seed).sample(range(n * n), min(sample, n * n))
-            instances = [(parts[j // n], parts[j % n]) for j in picks]
         shape_of = _cheapest_product if method == "hive" else _product_shape
-        classify, key = stembridge_mf, _product_key
-    elif family == "skews":
-        # (lam, parts of mu) in shape order, mu inside lam; only the shapes run are built
-        pairs = ((lam, mu) for lam in parts for mu in _walk(_basic_cap(lam).parts))
-        if sample is not None:
-            pairs = list(pairs)
-            pairs = random.Random(seed).sample(pairs, min(sample, len(pairs)))
-        instances = ((SkewShape._of(lam, Partition._of(mu)),) for lam, mu in pairs)
-        classify, shape_of, key = gty_mf, lambda shape: shape, _skew_key
+        family = _Family(
+            stembridge_mf, n * n, lambda j: (parts[j // n], parts[j % n]), shape_of,
+            lambda mu, nu: {"mu": list(mu.parts), "nu": list(nu.parts)},
+        )
+    elif family == "skews":  # shape j is lam/mu, numbered within the lam that bisecting j finds
+        counts, items = zip(*(_walk_numbering(_basic_cap(lam).parts) for lam in parts))
+        starts = list(accumulate(counts, initial=0))
+
+        def skew(j):
+            i = bisect_right(starts, j) - 1
+            return (SkewShape._of(parts[i], Partition._of(items[i](j - starts[i]))),)
+
+        family = _Family(gty_mf, starts[-1], skew, lambda s: s, lambda s: {"shape": str(s)})
     else:
         raise ValueError(f"unknown family {family!r}")
+    numbers = range(family.total)
+    if sample is not None:
+        numbers = random.Random(seed).sample(numbers, min(sample, family.total))
     disagreements = []
-    count = 0
-    for count, args in enumerate(instances, 1):
-        verdict = classify(*args)
-        enum_max = max_multiplicity(shape_of(*args), method)
+    for args in map(family.instance, numbers):
+        verdict = family.classify(*args)
+        enum_max = max_multiplicity(family.shape_of(*args), method)
         if verdict.multiplicity_free != (enum_max <= 1):
             disagreements.append(
-                {**key(*args), "cases": verdict.sorted_cases(), "max_multiplicity": enum_max}
+                {**family.key(*args), "cases": verdict.sorted_cases(), "max_multiplicity": enum_max}
             )
-    return SweepReport(count, disagreements)
+    return SweepReport(len(numbers), disagreements)

@@ -345,6 +345,25 @@ class TestVerify:
         assert len(seen) == 10
         assert peak < 2_000_000, peak
 
+    def test_sampled_skew_sweep_builds_no_shape_list(self, monkeypatch):
+        # the 5x8 box, at the weight cap, has 99,914 basic shapes; listing them took 14 MB
+        verify_sweep("skews", (2, 2), method="tableau")  # so that no module import is counted
+        seen = record_skew_shapes(monkeypatch)
+        tracemalloc.start()
+        try:
+            verify_sweep("skews", (5, 8), sample=10, seed=1, method="tableau")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 10
+        assert peak < 3_000_000, peak
+
+    @pytest.mark.parametrize("family", ["products", "skews"])
+    @pytest.mark.parametrize("sample", [1.5, "3"])
+    def test_non_integer_sample(self, family, sample):
+        with pytest.raises(ValueError, match=f"sample must be an integer, got {sample!r}"):
+            verify_sweep(family, (2, 2), sample=sample)
+
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("family, classifier", [("products", "stembridge_mf"), ("skews", "gty_mf")])
     def test_disagreement_records(self, capsys, monkeypatch, family, classifier, fmt, suffix):

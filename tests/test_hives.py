@@ -121,6 +121,8 @@ class TestValidation:
             Hive(2, [[0, 1], [1]])
         with pytest.raises(ValueError, match="rows must form a triangle of side n"):
             Hive(2, [[0, 1, 2], [2, 3], [3]])._replace(n=1)
+        with pytest.raises(ValueError, match="rows must form a triangle of side n"):
+            Hive(-1, ())
 
     def test_builds_no_plan(self):
         hive = enumerate_lr_hives(P("3,2,1"), P("2,1"), P("2,1"), 3)[0]

@@ -5,6 +5,8 @@ from lrhive import hives, sweep, tableaux
 from lrhive.partitions import (
     Partition,
     WeightCapError,
+    _walk,
+    _walk_numbering,
     add,
     boundary_segments,
     bounded_partitions,
@@ -344,6 +346,25 @@ class TestGenerators:
         assert sum(1 for _ in subpartitions(Partition([1] * 1200))) == 1201
         column = Partition([1] * 1100)
         assert list(bounded_partitions(1100, column)) == [column]
+
+
+class TestWalkNumbering:
+    """_walk_numbering(cap) numbers what _walk(cap) yields, without walking."""
+
+    def test_numbers_reproduce_the_walk_over_the_6x6_box(self):
+        caps = [_basic_cap(lam).parts for lam in partitions_in_box(6, 6)]
+        assert len(caps) == 924
+        for cap in caps + [lam.parts for lam in partitions_in_box(4, 4)]:
+            count, item = _walk_numbering(cap)
+            assert [item(k) for k in range(count)] == list(_walk(cap)), cap
+
+    def test_long_cap_needs_no_recursion(self):
+        count, item = _walk_numbering((3,) * 5000)
+        assert count == 5003 * 5002 * 5001 // 6  # parts at most 3 in at most 5000 rows
+        assert item(count - 1) == (1,) * 5000
+        assert item(5000) == (3,) * 5000
+        column_count, column_item = _walk_numbering((1,) * 5000)
+        assert column_count == 5001 and column_item(5000) == (1,) * 5000
 
 
 def canonical(parts):
