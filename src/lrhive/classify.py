@@ -17,8 +17,8 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import index as _as_int
 
-from .partitions import Partition, complement, shape_class, union
-from .skew import SkewShape
+from .partitions import Partition, complement, contains, shape_class, union
+from .skew import SkewShape, _basic_cap
 
 PRODUCT_WITNESS_CASES = ("Q1", "Q2", "Q3")
 SKEW_WITNESS_CASES = ("T1i", "T1ii", "T2i", "T2ii", "T3i", "T3ii")
@@ -38,17 +38,33 @@ class MFVerdict(namedtuple("MFVerdict", "cases")):
         return sorted(self.cases)
 
 
+@lru_cache(maxsize=4096)  # each memo here is bounded; sweeps meet few partitions many times
+def _class_in_box(parts, m, n):
+    """shape_class, in the m x n box, of the partition with these parts."""
+    return shape_class(Partition._of(parts), m, n)
+
+
 def _own_class(p):
     """shape_class of p in its own box, first part x length."""
-    return shape_class(p, p.parts[0] if p else 0, p.length)
+    return _class_in_box(p.parts, p.parts[0] if p else 0, p.length)
 
 
+@lru_cache(maxsize=4096)
+def _outer_data(parts):
+    """For lam with these parts: its basic cap, its box m x n, and the class and emptiness of lam* there."""
+    lam = Partition._of(parts)
+    m, n = parts[0] if parts else 0, len(parts)
+    lstar = complement(lam, m, n)
+    return _basic_cap(lam), m, n, _class_in_box(lstar.parts, m, n), not lstar
+
+
+@lru_cache(maxsize=1024)
 def _verdict(prefix, empty, x, y):
     """Stembridge's conditions 1-4 on two factors, labelled prefix + number.
 
-    Each factor is a pair (its own class, the classes of the partitions it
-    presents as); a condition holds if it holds either way round.  Case 0
-    fires when empty is true.
+    Each factor is a pair (its own class, a tuple of the classes of the
+    partitions it presents as); a condition holds if it holds either way
+    round.  Case 0 fires when empty is true.
     """
     cases = {prefix + "0"} if empty else set()
     for (own, _), (_, forms) in ((x, y), (y, x)):
@@ -70,7 +86,7 @@ def stembridge_mf(mu, nu):
     All satisfied case labels P0..P4 are reported, not just the first.
     """
     cm, cn = _own_class(mu), _own_class(nu)
-    return _verdict("P", not mu or not nu, (cm, [cm]), (cn, [cn]))
+    return _verdict("P", not mu or not nu, (cm, (cm,)), (cn, (cn,)))
 
 
 def gty_mf(shape):
@@ -82,15 +98,13 @@ def gty_mf(shape):
     is empty.  Non-basic input is rejected: normalizing silently would change
     the box.
     """
-    if not shape.is_basic():
+    cap, m, n, cs, no_lstar = _outer_data(shape.outer.parts)
+    if not contains(shape.inner, cap):  # the test of SkewShape.is_basic
         raise ValueError(
             f"{shape} is not basic; reduce it with to_basic() before classifying"
         )
-    lam, mu = shape.outer, shape.inner
-    m, n = lam.parts[0] if lam else 0, lam.length
-    lstar = complement(lam, m, n)
-    cm, cs = shape_class(mu, m, n), shape_class(lstar, m, n)
-    return _verdict("R", not mu or not lstar, (cm, [cm]), (cs, [cs]))
+    cm = _class_in_box(shape.inner.parts, m, n)
+    return _verdict("R", not shape.inner or no_lstar, (cm, (cm,)), (cs, (cs,)))
 
 
 def _partition_forms(s):
@@ -123,7 +137,7 @@ def skew_product_mf(theta, phi):
 
     def factor(s):
         own = _own_class(s.outer if not s.inner else Partition())
-        return own, [_own_class(f) for f in _partition_forms(s)]
+        return own, tuple(_own_class(f) for f in _partition_forms(s))
 
     return _verdict("V", False, factor(theta), factor(phi))
 

@@ -169,10 +169,13 @@ def _cmd_mf(args):
     from .classify import find_multiplicity_witness
     from .partitions import format_partition
 
-    if args.kind == "product" and (args.mu is None or args.nu is None):
-        raise UsageError("mf product needs --mu and --nu")
-    if args.kind == "skew" and args.shape is None:
-        raise UsageError("mf skew needs --shape")
+    given = {"--mu": args.mu, "--nu": args.nu, "--shape": args.shape}
+    needs = ("--mu", "--nu") if args.kind == "product" else ("--shape",)
+    if any(given[flag] is None for flag in needs):
+        raise UsageError(f"mf {args.kind} needs {' and '.join(needs)}")
+    stray = [flag for flag, text in given.items() if text is not None and flag not in needs]
+    if stray:
+        raise UsageError(f"mf {args.kind} does not take {', '.join(stray)}")
     instance, _, expand, classifier = _query(args, args.kind)
     verdict = classifier(*instance)
     cases = verdict.sorted_cases()

@@ -8,6 +8,8 @@ states are the terms.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .partitions import Partition, contains
 from .skew import SkewShape, star
 
@@ -84,22 +86,24 @@ class Expansion:
 
 def lr_coefficient(lam, mu, nu, method="hive"):
     """Single coefficient by the chosen engine."""
-    return _engine(method)[0](lam, mu, nu)
+    engine = _engine(method)
+    return (engine.lr_tableau_count if method == "tableau" else engine.lr_coefficient_hive)(lam, mu, nu)
 
 
+@lru_cache(maxsize=2)
 def _engine(method):
-    """The named engine's coefficient count and lr_expansion_states, imported only when named.
+    """The named engine's module, imported the first time it is named; callers read its functions off it.
 
-    lr_expansion_states returns the final states of a shape's walk, and the
-    function giving each one's parts.
+    Its lr_expansion_states returns the final states of a shape's walk, and
+    the function giving each one's parts.
     """
     if method == "tableau":
-        from .tableaux import lr_expansion_states, lr_tableau_count as count
+        from . import tableaux as engine
     elif method == "hive":
-        from .hives import lr_coefficient_hive as count, lr_expansion_states
+        from . import hives as engine
     else:
         raise ValueError(f"unknown method {method!r}")
-    return count, lr_expansion_states
+    return engine
 
 
 def _product_shape(mu, nu):
@@ -121,7 +125,7 @@ def skew_expansion(shape, method="hive"):
     By tableaux: one walk over the shape.  By hives: one walk on the side
     len(outer) with the nu side free.  Each final state is one term.
     """
-    states, parts = _engine(method)[1](shape.outer, shape.inner)
+    states, parts = _engine(method).lr_expansion_states(shape.outer, shape.inner)
     return Expansion._of({parts(state): c for state, c in states.items()})
 
 
@@ -130,7 +134,7 @@ def max_multiplicity(shape, method="hive"):
 
     Read off the walk's final states, so no term is built.
     """
-    states, _ = _engine(method)[1](shape.outer, shape.inner)
+    states, _ = _engine(method).lr_expansion_states(shape.outer, shape.inner)
     return max(states.values(), default=0)
 
 

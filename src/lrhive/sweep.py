@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cache
 from itertools import accumulate
 from operator import index
 
@@ -81,7 +82,8 @@ def verify_sweep(family, box, sample=None, seed=0, method="hive"):
             lambda mu, nu: {"mu": list(mu.parts), "nu": list(nu.parts)},
         )
     elif family == "skews":  # shape j is lam/mu, numbered within the lam that bisecting j finds
-        counts, items = zip(*(_walk_numbering(_basic_cap(lam).parts) for lam in parts))
+        numbering = cache(_walk_numbering)  # one per distinct cap: 100 for the 462 lam of 5x6
+        counts, items = zip(*(numbering(_basic_cap(lam).parts) for lam in parts))
         starts = list(accumulate(counts, initial=0))
 
         def skew(j):

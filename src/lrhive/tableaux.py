@@ -71,27 +71,34 @@ def _by_rows(lam, mu, cap, keep):
 
     Rows go top to bottom, each filled right to left from an explicit stack.
     Entries weakly decrease along a row, exceed the entry above and are at
-    most len(cap); content[v], the number of v's, stays at most cap[v - 1],
-    and the word stays lattice.  After row r, fillings that agree on their
-    content, on row r's entries above row r + 1 and, with keep, on their word
-    merge, their numbers summed; with keep the words come out in lex order.
+    most len(cap), or len(lam) if cap is None (an expansion); content[v],
+    the number of v's, stays at most cap[v - 1], and the word stays lattice,
+    with content[0] a sentinel (cap[0], or |lam|) above any content[1] that
+    may still grow.  After row r, fillings that agree on their content, on
+    row r's entries above row r + 1 and, with keep, on their word merge,
+    their numbers summed; with keep the words come out in lex order.
     """
-    top = len(cap)
-    frontier = {((0,) * (top + 1), (), ()): 1}
+    top = lam.length if cap is None else len(cap)
+    frontier = {((cap[0] if cap else lam.weight,) + (0,) * top, (), ()): 1}
     for width, start, below in zip(lam.parts, mu.padded(lam.length), lam.parts[1:] + (0,)):
-        reached = {}
+        reached, n, cut = {}, width - start, width - below
+        get = reached.get
         for (content, carried, word), mult in frontier.items():
             counts = list(content)
-            floor = carried + (0,) * (width - start - len(carried))  # entries above, 0 under mu
+            floor = carried + (0,) * (n - len(carried))  # entries above, 0 under mu
             row, i = list(floor), 0
             while i >= 0:
-                if i == len(row):
-                    key = (tuple(counts), tuple(row[width - below:]), word + tuple(row) if keep else ())
-                    reached[key] = reached.get(key, 0) + mult
+                if i == n:
+                    key = (tuple(counts), tuple(row[cut:]), word + tuple(row) if keep else ())
+                    reached[key] = get(key, 0) + mult
                 else:
                     v, hi = row[i] + 1, row[i - 1] if i else top
-                    while v <= hi and (counts[v] >= cap[v - 1] or v > 1 and counts[v - 1] <= counts[v]):
-                        v += 1
+                    if cap is None:
+                        while v <= hi and counts[v - 1] <= counts[v]:
+                            v += 1
+                    else:
+                        while v <= hi and (counts[v] >= cap[v - 1] or counts[v - 1] <= counts[v]):
+                            v += 1
                     if v <= hi:
                         row[i] = v
                         counts[v] += 1
@@ -124,7 +131,7 @@ def lr_tableau_count(lam, mu, nu):
 
 def lr_expansion_states(lam, mu):
     """The final states of lam/mu's fill, keyed by content, and the function giving each one's term."""
-    return _by_rows(lam, mu, (lam.weight,) * lam.length, False), _content_parts
+    return _by_rows(lam, mu, None, False), _content_parts
 
 
 def _content_parts(key):

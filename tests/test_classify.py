@@ -4,13 +4,16 @@ import random
 import pytest
 
 from lrhive.classify import (
+    _class_in_box,
+    _outer_data,
+    _verdict,
     find_multiplicity_witness,
     gty_mf,
     skew_product_mf,
     stembridge_mf,
 )
 from lrhive.expansions import product_expansion, skew_expansion
-from lrhive.partitions import Partition, parse_partition, partitions_in_box, subpartitions
+from lrhive.partitions import Partition, complement, parse_partition, partitions_in_box, shape_class, subpartitions
 from lrhive.skew import SkewShape, format_skew_shape, parse_skew_shape, star
 
 P = parse_partition
@@ -137,6 +140,45 @@ class TestGTY:
         for shape in basic_shapes_in_box(4, 4):
             free = skew_expansion(shape).max_multiplicity() <= 1
             assert gty_mf(shape).multiplicity_free == free, shape
+
+
+class TestMemos:
+    """The classifiers read classes, lam's data and verdicts from bounded memos; the verdicts stay as computed."""
+
+    def test_verdicts_as_computed_over_the_5x5_box(self):
+        box = partitions_in_box(5, 5)
+        own = {p: shape_class(p, p.parts[0] if p else 0, p.length) for p in box}
+        for mu in box:
+            for nu in box:
+                cm, cn = own[mu], own[nu]
+                expected = _verdict.__wrapped__("P", not mu or not nu, (cm, (cm,)), (cn, (cn,)))
+                assert stembridge_mf(mu, nu) == expected, (mu, nu)
+        shapes = 0
+        for shape in basic_shapes_in_box(5, 5):
+            lam, mu = shape.outer, shape.inner
+            m, n = lam.parts[0] if lam else 0, lam.length
+            lstar = complement(lam, m, n)
+            cm, cs = shape_class(mu, m, n), shape_class(lstar, m, n)
+            expected = _verdict.__wrapped__("R", not mu or not lstar, (cm, (cm,)), (cs, (cs,)))
+            assert gty_mf(shape) == expected, shape
+            shapes += 1
+        assert shapes == 5097
+
+    def test_memoised_outer_still_refuses_non_basic(self):
+        assert gty_mf(S("3,3/2")).multiplicity_free  # lam = 3,3 is now memoised
+        with pytest.raises(ValueError, match="3,3/1,1 is not basic"):
+            gty_mf(S("3,3/1,1"))
+
+    def test_memos_are_bounded(self):
+        box = partitions_in_box(6, 6)
+        for mu in box:
+            for nu in box:
+                stembridge_mf(mu, nu)
+        for shape in basic_shapes_in_box(6, 6):
+            gty_mf(shape)
+        for memo in (_class_in_box, _outer_data, _verdict):
+            info = memo.cache_info()
+            assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, memo
 
 
 class TestSkewProduct:

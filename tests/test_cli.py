@@ -131,6 +131,18 @@ class TestMF:
         assert code == 2
         assert "mu" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["skew", "--shape", "3,2/1", "--nu", "5,5"], "mf skew does not take --nu"),
+            (["skew", "--shape", "3,2/1", "--mu", "1", "--nu", "1"], "mf skew does not take --mu, --nu"),
+            (["product", "--mu", "2,1", "--nu", "2,1", "--shape", "3,2/1"], "mf product does not take --shape"),
+        ],
+    )
+    def test_flags_of_the_other_kind(self, capsys, argv, message):
+        # a stray flag is refused, not dropped
+        assert run(capsys, "mf", *argv) == (2, "", f"error: {message}\n")
+
 
 class TestWitness:
     def test_q1(self, capsys):

@@ -162,6 +162,17 @@ class TestEngineAgreement:
                         s, method="tableau"
                     ), (lam, mu)
 
+    def test_basic_skews_5x5(self):
+        # term by term on every basic shape of the 5x5 box, weights up to 25
+        shapes = 0
+        for lam in partitions_in_box(5, 5):
+            for mu in subpartitions(lam):
+                s = SkewShape(lam, mu)
+                if s.is_basic():
+                    assert skew_expansion(s, method="hive") == skew_expansion(s, method="tableau"), s
+                    shapes += 1
+        assert shapes == 5097
+
     def test_products_through_mu_star_nu_3x3(self):
         # the tableau method expands the skew shape mu*nu; weights reach 18 here
         box = partitions_in_box(3, 3)

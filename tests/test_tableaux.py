@@ -9,6 +9,7 @@ from lrhive.tableaux import (
     enumerate_lr_tableaux,
     is_lattice_word,
     is_valid_lr_tableau,
+    lr_expansion_states,
     lr_tableau_count,
 )
 
@@ -203,6 +204,47 @@ class TestInvariants:
         for lam in (Partition([1200]), Partition([1] * 1200)):
             assert lr_tableau_count(lam, Partition(), lam) == 1
             assert len(list(enumerate_lr_tableaux(lam, Partition(), lam))) == 1
+
+
+class TestContentSentinel:
+    """content[0] passes the lattice test at v = 1: it is nu_1 for a count and |lam| for an expansion."""
+
+    @pytest.mark.parametrize(
+        "lam, mu, nu, count",
+        [
+            ("0", "0", "0", 1),  # the empty shape
+            ("3,2", "3,2", "0", 1),  # lam = mu
+            ("3,2", "3,2", "1", 0),
+            ("2,1", "1", "0", 0),  # nu empty, the shape not
+            ("1^4", "0", "1^4", 1),  # a single column
+            ("1^4", "0", "2,1,1", 0),
+            ("1^4", "1", "1^3", 1),
+            ("4", "0", "4", 1),  # a single row: content[1] ends at nu_1
+            ("4", "1", "2,1", 0),
+        ],
+    )
+    def test_count_and_enumeration(self, lam, mu, nu, count):
+        lam, mu, nu = P(lam), P(mu), P(nu)
+        assert lr_tableau_count(lam, mu, nu) == count == len(brute_fillings(lam, mu, nu))
+        tableaux = list(enumerate_lr_tableaux(lam, mu, nu))
+        assert len(tableaux) == count and all(is_valid_lr_tableau(t, nu) for t in tableaux)
+
+    @pytest.mark.parametrize(
+        "lam, mu, terms",
+        [
+            ("0", "0", {(): 1}),
+            ("3,2", "3,2", {(): 1}),
+            ("1^4", "0", {(1, 1, 1, 1): 1}),
+            ("1^4", "1^2", {(1, 1): 1}),
+            ("4", "0", {(4,): 1}),  # content[1] reaches |lam| only as the walk ends
+            ("4", "1", {(3,): 1}),
+            ("2,1", "1", {(2,): 1, (1, 1): 1}),
+        ],
+    )
+    def test_expansion_states(self, lam, mu, terms):
+        states, parts = lr_expansion_states(P(lam), P(mu))
+        assert {parts(state): c for state, c in states.items()} == terms
+        assert len(states) == len(terms)
 
 
 class TestLatticeWord:
